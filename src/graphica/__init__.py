@@ -1,81 +1,27 @@
 """Binary-state xApp conflict simulation, graph-convolutional conflict
-prediction, and root cause tracing."""
+prediction, and root cause tracing.
 
-from .conflict_sim import (
-    BinaryStateRow,
-    ConflictLabel,
-    Dataset,
-    InjectedConflict,
-    Topology,
-    class_distribution,
-    label_row,
-    load_dataset,
-    load_topology,
-    new_topology,
-    save_dataset,
-    save_topology,
-    synth_dataset,
-)
-from .gap import (
-    FocalConfig,
-    ModelParams,
-    TrainConfig,
-    TrainHistory,
-    compute_alpha,
-    focal_loss,
-    forward,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    stratified_kfold,
-    train,
-)
-from .gsc import ConflictGraph, EdgeKind, GraphBatch, batch_graphs, build_graph
-from .metrics import confusion, prf
-from .rca import RcaReport, RcaRow, build_report, find_affected, trace_roots
-from .sweep import DatasetSpec, SweepResult, gamma_sweep
+The package namespace exports what the README's "Library use" example
+imports; everything else is reached through its module (``graphica.gap``,
+``graphica.rca`` and so on).
+"""
+
+from .conflict_sim import new_topology, synth_dataset
+from .gap import FocalConfig, TrainConfig, compute_alpha, predict, train
+from .gsc import build_graph
+from .rca import build_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryStateRow",
-    "ConflictGraph",
-    "ConflictLabel",
-    "Dataset",
-    "DatasetSpec",
-    "EdgeKind",
     "FocalConfig",
-    "GraphBatch",
-    "InjectedConflict",
-    "ModelParams",
-    "RcaReport",
-    "RcaRow",
-    "SweepResult",
-    "Topology",
     "TrainConfig",
-    "TrainHistory",
-    "batch_graphs",
+    "__version__",
     "build_graph",
     "build_report",
-    "class_distribution",
     "compute_alpha",
-    "confusion",
-    "find_affected",
-    "focal_loss",
-    "forward",
-    "gamma_sweep",
-    "label_row",
-    "load_checkpoint",
-    "load_dataset",
-    "load_topology",
     "new_topology",
     "predict",
-    "prf",
-    "save_checkpoint",
-    "save_dataset",
-    "save_topology",
-    "stratified_kfold",
     "synth_dataset",
-    "trace_roots",
     "train",
 ]

@@ -180,8 +180,14 @@ def _load_fold_models(model_dir: Path, n_folds: int):
     return models, seeds[0]
 
 
+def _check_fold(fold, n_folds: int) -> None:
+    if fold is not None and not 0 <= fold < n_folds:
+        raise DomainError(f"--fold must be in 0..{n_folds - 1}")
+
+
 def cmd_eval(args) -> int:
     s = Settings(args)
+    _check_fold(args.fold, s.folds)
     out = _out_dir(args)
     topology, dataset = _load_inputs(args)
     models, seed = _load_fold_models(Path(args.models), s.folds)
@@ -189,10 +195,7 @@ def cmd_eval(args) -> int:
     labels = dataset.labels()
     preds = gap.fold_predictions(dataset, models, cfg)
     if args.fold is not None:
-        folds = gap.stratified_kfold(labels, cfg.n_folds, cfg.seed)
-        if not 0 <= args.fold < cfg.n_folds:
-            raise DomainError(f"--fold must be in 0..{cfg.n_folds - 1}")
-        keep = folds[args.fold]
+        keep = gap.stratified_kfold(labels, cfg.n_folds, cfg.seed)[args.fold]
         preds, labels = preds[keep], labels[keep]
     cm = confusion(preds, labels)
     triple = prf(cm)
@@ -234,19 +237,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     s = Settings(args)
+    _check_fold(args.fold, s.folds)
     out = _out_dir(args)
     topology, dataset = _load_inputs(args)
     model, _, seed = gap.load_checkpoint(args.model)
     rows = list(dataset.rows)
     if args.fold is not None:
         folds = gap.stratified_kfold(dataset.labels(), s.folds, seed)
-        if not 0 <= args.fold < s.folds:
-            raise DomainError(f"--fold must be in 0..{s.folds - 1}")
         rows = [rows[i] for i in folds[args.fold]]
-    graphs = [build_graph(topology, row) for row in rows]
-    probs = gap.predict_rows(model, topology, rows)
-    preds = probs.argmax(axis=1)
-    report = rca.build_report(list(zip(preds, graphs)), topology)
+    preds = gap.predict_rows(model, topology, rows).argmax(axis=1)
+    # Only predicted conflicts are traced, so only they need a graph.
+    report = rca.build_report(
+        [(preds[i], build_graph(topology, rows[i])) for i in np.flatnonzero(preds)],
+        topology)
     rca.report_to_csv(report, out / "rca.csv")
     _log(args, f"wrote {out / 'rca.csv'} "
                f"({len(report.rows)} conflicts among {len(rows)} rows)")

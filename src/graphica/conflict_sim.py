@@ -686,8 +686,12 @@ def load_dataset(path, topology: Topology) -> Dataset:
         a, p, k = topology.n_apps, topology.n_params, topology.n_kpis
         for record in reader:
             if len(record) != topology.width + 1:
-                raise ShapeError(f"row {len(rows)} has {len(record)} fields")
-            bits = [int(x) for x in record]
+                raise ShapeError(f"{path}:{reader.line_num}: row has "
+                                 f"{len(record)} fields, expected {topology.width + 1}")
+            try:
+                bits = [int(x) for x in record]
+            except ValueError as exc:
+                raise ShapeError(f"{path}:{reader.line_num}: non-integer field ({exc})") from exc
             rows.append(BinaryStateRow(
                 app_states=tuple(bits[:a]),
                 param_states=tuple(bits[a:a + p]),

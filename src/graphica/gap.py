@@ -27,9 +27,9 @@ from .errors import (
     StratificationError,
     TrainingError,
 )
-from .gsc import NUM_NODE_FEATURES, ConflictGraph, GraphBatch, batch_graphs, build_graph
+from .gsc import NUM_NODE_FEATURES, ConflictGraph, build_graph
 from .metrics import confusion, prf
-from .numerics import AdamState, adam_step, gcn_layer, global_mean_pool, normalize_adjacency
+from .numerics import AdamState, adam_step
 
 NUM_FEATURES = NUM_NODE_FEATURES
 HIDDEN_DIM = 16
@@ -282,15 +282,14 @@ class _Batch:
     n: int
 
 
-def row_tensors(topology: Topology, rows) -> RowTensors:
-    n = topology.width
-    feats = np.zeros((len(rows), n, NUM_FEATURES))
-    degt = np.zeros((len(rows), 3, n))
-    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+def _pack(graphs, count: int, n: int) -> RowTensors:
+    """Pack an iterable of ``count`` graphs with ``n`` nodes each."""
+    feats = np.zeros((count, n, NUM_FEATURES))
+    degt = np.zeros((count, 3, n))
+    ptr = np.zeros(count + 1, dtype=np.int64)
     kinds, srcs, dsts = [], [], []
     labels = []
-    for i, row in enumerate(rows):
-        g = build_graph(topology, row)
+    for i, g in enumerate(graphs):
         feats[i] = g.features
         kinds.append(g.edge_kind)
         srcs.append(g.edge_src)
@@ -299,7 +298,7 @@ def row_tensors(topology: Topology, rows) -> RowTensors:
         if g.edge_src.size:
             np.add.at(degt[i], (g.edge_kind, g.edge_src), 1.0)
             np.add.at(degt[i], (g.edge_kind, g.edge_dst), 1.0)
-        labels.append(-1 if row.label is None else int(row.label))
+        labels.append(-1 if g.label is None else g.label)
     label_arr = np.array(labels, dtype=np.int64)
     return RowTensors(
         features=feats,
@@ -310,6 +309,12 @@ def row_tensors(topology: Topology, rows) -> RowTensors:
         kind_degrees=degt,
         labels=None if np.any(label_arr < 0) else label_arr,
     )
+
+
+def row_tensors(topology: Topology, rows) -> RowTensors:
+    """Pack rows of one topology, building each row's graph in turn."""
+    return _pack((build_graph(topology, row) for row in rows), len(rows),
+                 topology.width)
 
 
 def _gather_batch(tensors: RowTensors, indices: np.ndarray) -> _Batch:
@@ -438,46 +443,27 @@ def loss_and_grad(model: ModelParams, tensors: RowTensors, indices,
     return loss, _backward_pass(model, cache, dlogits)
 
 
-def forward(model: ModelParams, batch: GraphBatch) -> np.ndarray:
-    """Class probabilities per graph, rows summing to 1."""
-    if batch.features.shape[1] != model.w1.shape[0]:
-        raise ShapeError(
-            f"batch feature dim {batch.features.shape[1]} does not match "
-            f"model input dim {model.w1.shape[0]}")
-    n = batch.uniform_nodes
-    if n is not None:
-        eb = (batch.membership[batch.edge_src]
-              if batch.edge_src.size else np.zeros(0, dtype=np.int64))
-        eu = batch.edge_src - eb * n
-        ev = batch.edge_dst - eb * n
-        degt = np.zeros((batch.n_graphs, 3, n))
-        if eb.size:
-            np.add.at(degt, (eb, batch.edge_kind, eu), 1.0)
-            np.add.at(degt, (eb, batch.edge_kind, ev), 1.0)
-        packed = _Batch(
-            feats=batch.features.reshape(batch.n_graphs, n, -1),
-            eb=eb, ek=batch.edge_kind, eu=eu, ev=ev, degt=degt, n=n)
-        return _forward_pass(model, packed)["probs"]
-    # Mixed node counts: propagate over the block-diagonal batch in one piece.
-    ahat = normalize_adjacency(batch, model.kind_weights)
-    h1, _ = gcn_layer(ahat, batch.features, model.w1, model.b1)
-    h2, _ = gcn_layer(ahat, h1, model.w2, model.b2)
-    pooled = global_mean_pool(h2, batch.membership, batch.n_graphs)
-    return _softmax(pooled @ model.wc + model.bc)
-
-
 def predict(model: ModelParams, graph: ConflictGraph):
     """Most probable label for one graph; ties resolve to the smaller
     class index."""
-    probs = forward(model, batch_graphs([graph]))[0]
+    tensors = _pack([graph], 1, graph.n_nodes)
+    probs = _forward_pass(model, _gather_batch(tensors, [0]))["probs"][0]
     return ConflictLabel(int(np.argmax(probs))), probs
 
 
 def predict_rows(model: ModelParams, topology: Topology, rows,
                  chunk_size: int = 512) -> np.ndarray:
-    """Class probabilities for many rows of one topology, shape (R, C)."""
-    tensors = row_tensors(topology, rows)
-    return _probs_in_chunks(model, tensors, np.arange(len(rows)), chunk_size)
+    """Class probabilities for many rows of one topology, shape (R, C).
+
+    Rows are packed one chunk at a time, so the packed tensors never
+    hold more than ``chunk_size`` rows.
+    """
+    parts = []
+    for i in range(0, len(rows), chunk_size):
+        chunk = rows[i:i + chunk_size]
+        parts.append(_probs_in_chunks(model, row_tensors(topology, chunk),
+                                      np.arange(len(chunk)), chunk_size))
+    return np.concatenate(parts, axis=0)
 
 
 def _probs_in_chunks(model, tensors: RowTensors, indices,
@@ -664,7 +650,12 @@ def load_checkpoint(path):
             f"F={NUM_FEATURES}, C={NUM_CLASSES}")
     hidden = int(obj["H"])
     if "weights_file" in obj:
-        raw = (path.parent / obj["weights_file"]).read_bytes()
+        sidecar = path.parent / obj["weights_file"]
+        raw = sidecar.read_bytes()
+        if len(raw) % 8:
+            raise CompatibilityError(
+                f"{sidecar}: {len(raw)} bytes is not a whole number of "
+                f"float64 weights")
         flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     elif "weights" in obj:
         flat = np.asarray(obj["weights"], dtype=np.float64)

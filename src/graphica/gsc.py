@@ -5,7 +5,10 @@ parameters and KPIs.  An influence edge exists only where both endpoints
 carry a ``1`` state: app->parameter (control), parameter->KPI (drive),
 parameter->parameter (drive).  Inactive entities stay in the graph as
 isolated nodes, so every graph over one topology has the same node
-count, which keeps pooling and batching uniform.
+count; the classifier packs a topology's graphs into fixed-size
+(rows, nodes, features) tensors (``gap.row_tensors``).  Besides that
+packing, graphs are read where a person reads them: root cause tracing
+and the edge-list debug export.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .conflict_sim import (
     kpi_name,
     param_name,
 )
-from .errors import EmptyInputError, ShapeError
+from .errors import ShapeError
 
 #: Node feature layout: role one-hot (3) + state bit + normalized degree.
 NUM_NODE_FEATURES = 5
@@ -89,6 +92,8 @@ class ConflictGraph:
 
 
 def _node_feature_matrix(kinds, states, edge_src, edge_dst) -> np.ndarray:
+    """Per-node rows [is_app, is_param, is_kpi, state,
+    degree / max(1, N - 1)], all in [0, 1]."""
     n = kinds.shape[0]
     feats = np.zeros((n, NUM_NODE_FEATURES))
     feats[np.arange(n), kinds] = 1.0
@@ -161,80 +166,6 @@ def build_graph(topology: Topology, row: BinaryStateRow) -> ConflictGraph:
         edge_kind=edge_kind,
         features=_node_feature_matrix(kinds, states, edge_src, edge_dst),
         label=None if row.label is None else int(row.label),
-    )
-
-
-def node_features(graph: ConflictGraph) -> np.ndarray:
-    """Per-node feature rows: [is_app, is_param, is_kpi, state,
-    degree / max(1, N - 1)].  All values lie in [0, 1]."""
-    return _node_feature_matrix(graph.kinds, graph.states,
-                                graph.edge_src, graph.edge_dst)
-
-
-def edge_attributes(graph: ConflictGraph) -> np.ndarray:
-    """Per-edge one-hot of the edge kind, shape (E, 3)."""
-    if graph.n_edges == 0:
-        return np.zeros((0, 3))
-    return np.eye(3)[graph.edge_kind]
-
-
-@dataclass(eq=False)
-class GraphBatch:
-    """Disjoint union of several graphs.
-
-    Node ids are offset per graph so the implied adjacency is block
-    diagonal; ``membership`` maps each node to its graph, contiguous from
-    0 to ``n_graphs - 1``.
-    """
-
-    features: np.ndarray         # (N_total, F)
-    membership: np.ndarray       # (N_total,)
-    edge_src: np.ndarray         # (E_total,)
-    edge_dst: np.ndarray
-    edge_kind: np.ndarray
-    nodes_per_graph: np.ndarray  # (B,)
-    n_graphs: int
-    labels: np.ndarray | None    # (B,) or None when any graph is unlabeled
-
-    @property
-    def uniform_nodes(self) -> int | None:
-        """Common node count when every member graph has the same one."""
-        first = int(self.nodes_per_graph[0])
-        if np.all(self.nodes_per_graph == first):
-            return first
-        return None
-
-
-def batch_graphs(graphs: list[ConflictGraph]) -> GraphBatch:
-    """Stack graphs into one disjoint-union batch, no cross-graph edges."""
-    if not graphs:
-        raise EmptyInputError("no graphs to batch")
-    fdim = graphs[0].features.shape[1]
-    if any(g.features.shape[1] != fdim for g in graphs):
-        raise ShapeError("graphs have differing feature dimensions")
-
-    sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    features = np.concatenate([g.features for g in graphs], axis=0)
-    membership = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-    edge_src = np.concatenate(
-        [g.edge_src + off for g, off in zip(graphs, offsets)])
-    edge_dst = np.concatenate(
-        [g.edge_dst + off for g, off in zip(graphs, offsets)])
-    edge_kind = np.concatenate([g.edge_kind for g in graphs])
-    if all(g.label is not None for g in graphs):
-        labels = np.array([g.label for g in graphs], dtype=np.int64)
-    else:
-        labels = None
-    return GraphBatch(
-        features=features,
-        membership=membership,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_kind=edge_kind,
-        nodes_per_graph=sizes,
-        n_graphs=len(graphs),
-        labels=labels,
     )
 
 

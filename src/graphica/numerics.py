@@ -1,9 +1,8 @@
-"""Dense numeric kernel: adjacency normalization, graph convolution,
-pooling, Adam, and finite-difference gradient checking.
+"""Adam with coupled weight decay over one flat parameter vector.
 
-Everything runs in 64-bit floats on plain numpy arrays.  The graphs
-involved have a few dozen nodes, so dense matrices are the right
-representation throughout.
+Everything runs in 64-bit floats on plain numpy arrays.  The graph
+kernel itself (adjacency normalization, convolutions, pooling) lives in
+the classifier's batched forward pass, ``gap._forward_pass``.
 """
 
 from __future__ import annotations
@@ -12,82 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
-from .gsc import GraphBatch
-
-
-def as_dense(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and return a 2-D float64 matrix.
-
-    Rejects non-finite entries and, when given, mismatched dimensions.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("matrix contains non-finite values")
-    return arr
-
-
-def normalize_adjacency(batch: GraphBatch, kind_weights) -> np.ndarray:
-    """Symmetric degree-normalized adjacency with unit self-loops.
-
-    An edge of kind t contributes kind_weights[t] to both (u, v) and
-    (v, u).  With A the weighted adjacency plus identity and D its degree
-    diagonal, the result is D^{-1/2} A D^{-1/2}.  The row of an isolated
-    node reduces to a single self-loop entry of 1.
-    """
-    kw = np.asarray(kind_weights, dtype=np.float64)
-    if kw.shape != (3,):
-        raise ShapeError(f"kind_weights must have shape (3,), got {kw.shape}")
-    if np.any(kw <= 0) or not np.all(np.isfinite(kw)):
-        raise DomainError("edge kind weights must be strictly positive")
-    n = batch.features.shape[0]
-    adj = np.zeros((n, n))
-    if batch.edge_src.size:
-        w = kw[batch.edge_kind]
-        np.add.at(adj, (batch.edge_src, batch.edge_dst), w)
-        np.add.at(adj, (batch.edge_dst, batch.edge_src), w)
-    adj[np.diag_indices(n)] += 1.0
-    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
-    return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def gcn_layer(ahat: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """One graph convolution: ReLU(ahat @ h @ w + b).
-
-    Returns (activated, pre_activation); the pre-activation is what
-    backpropagation needs to mask the ReLU.
-    """
-    if ahat.ndim != 2 or ahat.shape[0] != ahat.shape[1]:
-        raise ShapeError(f"ahat must be square, got {ahat.shape}")
-    if h.ndim != 2 or h.shape[0] != ahat.shape[0]:
-        raise ShapeError(f"node features {h.shape} do not match ahat {ahat.shape}")
-    if w.ndim != 2 or w.shape[0] != h.shape[1]:
-        raise ShapeError(f"weights {w.shape} do not match features {h.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"bias {b.shape} does not match weights {w.shape}")
-    pre = ahat @ h @ w + b
-    return np.maximum(pre, 0.0), pre
-
-
-def global_mean_pool(h: np.ndarray, membership: np.ndarray, n_graphs: int) -> np.ndarray:
-    """Arithmetic mean of node rows per graph, shape (n_graphs, F)."""
-    membership = np.asarray(membership, dtype=np.int64)
-    if membership.shape != (h.shape[0],):
-        raise ShapeError(f"membership {membership.shape} does not match h {h.shape}")
-    if membership.size and (membership.min() < 0 or membership.max() >= n_graphs):
-        raise DomainError("membership indices outside [0, n_graphs)")
-    counts = np.bincount(membership, minlength=n_graphs)
-    if np.any(counts == 0):
-        raise DomainError("every graph needs at least one node")
-    acc = np.zeros((n_graphs, h.shape[1]))
-    np.add.at(acc, membership, h)
-    return acc / counts[:, None]
+from .errors import NumericError, ShapeError
 
 
 @dataclass
@@ -138,30 +62,3 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
     new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     return new_params, state
-
-
-def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative disagreement between analytic and central-difference
-    gradients.
-
-    ``loss_fn`` maps a flat parameter vector to (loss, gradient).  The
-    relative error per coordinate is |a - n| / max(1e-8, |a| + |n|).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise DomainError(f"eps {eps} outside [1e-7, 1e-3]")
-    loss, analytic = loss_fn(params)
-    if not np.isfinite(loss) or not np.all(np.isfinite(analytic)):
-        raise NumericError("loss or analytic gradient is non-finite")
-    worst = 0.0
-    for i in range(params.size):
-        bumped = params.astype(np.float64).copy()
-        bumped[i] += eps
-        hi = loss_fn(bumped)[0]
-        bumped[i] -= 2.0 * eps
-        lo = loss_fn(bumped)[0]
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError(f"non-finite loss while perturbing index {i}")
-        numeric = (hi - lo) / (2.0 * eps)
-        denom = max(1e-8, abs(analytic[i]) + abs(numeric))
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst

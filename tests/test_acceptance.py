@@ -16,7 +16,8 @@ from graphica import conflict_sim as cs
 from graphica import gap, rca
 from graphica.gsc import build_graph
 from graphica.metrics import confusion, prf
-from graphica.numerics import grad_check
+
+from reference import grad_check
 
 SEEDS = (0, 1, 2)
 

@@ -98,6 +98,19 @@ class TestEval:
         cm = (out / "confusion.csv").read_text().splitlines()
         assert sum(int(x) for row in cm for x in row.split(",")) == 32
 
+    def test_out_of_range_fold_rejected_before_predicting(self, pipeline_dir,
+                                                          tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("predicted before checking --fold")
+
+        monkeypatch.setattr(gap, "fold_predictions", never)
+        code = run_cli(["eval", "-d", str(pipeline_dir / "dataset.csv"),
+                        "-t", str(pipeline_dir / "topology.json"),
+                        "-m", str(pipeline_dir), "--fold", "5",
+                        "-o", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[DomainError]: --fold")
+
     def test_missing_checkpoint(self, pipeline_dir, tmp_path, capsys):
         code = run_cli(["eval", "-d", str(pipeline_dir / "dataset.csv"),
                         "-t", str(pipeline_dir / "topology.json"),
@@ -119,6 +132,56 @@ class TestReport:
                             "root_cause_nodes,root_cause_xapps")
         table = capsys.readouterr().out
         assert "Predicted Label" in table
+
+    def test_builds_one_graph_per_predicted_conflict(self, pipeline_dir, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        real = cli.build_graph
+
+        def counting(topology, row):
+            calls.append(row)
+            return real(topology, row)
+
+        monkeypatch.setattr(cli, "build_graph", counting)
+        out = tmp_path / "report"
+        code = run_cli(["report", "-d", str(pipeline_dir / "dataset.csv"),
+                        "-t", str(pipeline_dir / "topology.json"),
+                        "-m", str(pipeline_dir / "fold0.ckpt"),
+                        "-o", str(out), "--quiet"])
+        assert code == 0
+        conflicts = len((out / "rca.csv").read_text().splitlines()) - 1
+        assert 0 < conflicts < 160
+        assert len(calls) == conflicts
+
+    def test_ragged_weight_sidecar_is_typed_error(self, pipeline_dir, tmp_path, capsys):
+        model, focal, seed = gap.load_checkpoint(pipeline_dir / "fold0.ckpt")
+        ckpt = tmp_path / "model.ckpt"
+        gap.save_checkpoint(model, ckpt, seed, focal, binary=True)
+        sidecar = tmp_path / "model.ckpt.bin"
+        sidecar.write_bytes(sidecar.read_bytes()[:-5])
+        code = run_cli(["report", "-d", str(pipeline_dir / "dataset.csv"),
+                        "-t", str(pipeline_dir / "topology.json"),
+                        "-m", str(ckpt), "-o", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[CompatibilityError]: ")
+        assert "model.ckpt.bin" in err
+
+    def test_non_integer_dataset_field_is_typed_error(self, pipeline_dir, tmp_path, capsys):
+        lines = (pipeline_dir / "dataset.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "x"
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli(["report", "-d", str(bad),
+                        "-t", str(pipeline_dir / "topology.json"),
+                        "-m", str(pipeline_dir / "fold0.ckpt"),
+                        "-o", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[ShapeError]: {bad}:4: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_all_normal_report_is_header_only(self, tmp_path, capsys):
         run_cli(["synth", "--rows", "40", "--conflict", "0.0", "--seed", "2",

@@ -8,12 +8,12 @@ from graphica import gap
 from graphica.errors import (
     CompatibilityError,
     DomainError,
-    ShapeError,
     StratificationError,
     TrainingError,
 )
-from graphica.gsc import GraphBatch, batch_graphs, build_graph
-from graphica.numerics import gcn_layer, global_mean_pool, grad_check, normalize_adjacency
+from graphica.gsc import ConflictGraph, build_graph
+
+from reference import dense_probs, grad_check
 
 
 @pytest.fixture(scope="module")
@@ -117,50 +117,63 @@ class TestFocalLoss:
 class TestForward:
     def test_rows_sum_to_one(self, topo, small_ds):
         model = gap.ModelParams.init(0)
-        batch = batch_graphs([build_graph(topo, r) for r in small_ds.rows[:6]])
-        probs = gap.forward(model, batch)
+        probs = gap.predict_rows(model, topo, small_ds.rows[:6])
         assert probs.shape == (6, 4)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.isfinite(probs))
 
     def test_matches_dense_reference_path(self, topo, small_ds):
         model = gap.ModelParams.init(1)
-        graphs = [build_graph(topo, r) for r in small_ds.rows[:5]]
-        batch = batch_graphs(graphs)
-        fast = gap.forward(model, batch)
-        ahat = normalize_adjacency(batch, model.kind_weights)
-        h1, _ = gcn_layer(ahat, batch.features, model.w1, model.b1)
-        h2, _ = gcn_layer(ahat, h1, model.w2, model.b2)
-        pooled = global_mean_pool(h2, batch.membership, batch.n_graphs)
-        ref = gap._softmax(pooled @ model.wc + model.bc)
-        assert np.allclose(fast, ref, atol=1e-12)
+        rows = small_ds.rows[:5]
+        fast = gap.predict_rows(model, topo, rows)
+        ref = dense_probs(model, [build_graph(topo, r) for r in rows])
+        assert np.allclose(fast, ref, rtol=0, atol=1e-12)
 
     def test_permutation_invariance(self, topo, small_ds):
         model = gap.ModelParams.init(2)
         graph = build_graph(topo, small_ds.rows[0])
-        base = gap.forward(model, batch_graphs([graph]))[0]
+        _, base = gap.predict(model, graph)
         rng = np.random.default_rng(5)
         perm = rng.permutation(graph.n_nodes)
         inverse = np.argsort(perm)
-        permuted = GraphBatch(
-            features=graph.features[perm],
-            membership=np.zeros(graph.n_nodes, dtype=np.int64),
+        permuted = ConflictGraph(
+            n_apps=graph.n_apps, n_params=graph.n_params, n_kpis=graph.n_kpis,
+            kinds=graph.kinds[perm],
+            states=graph.states[perm],
             edge_src=inverse[graph.edge_src],
             edge_dst=inverse[graph.edge_dst],
             edge_kind=graph.edge_kind.copy(),
-            nodes_per_graph=np.array([graph.n_nodes]),
-            n_graphs=1,
-            labels=None,
+            features=graph.features[perm],
         )
-        again = gap.forward(model, permuted)[0]
+        _, again = gap.predict(model, permuted)
         assert np.allclose(base, again, atol=1e-12)
 
-    def test_feature_dim_mismatch(self, topo, small_ds):
-        model = gap.ModelParams.init(0)
-        batch = batch_graphs([build_graph(topo, small_ds.rows[0])])
-        batch.features = batch.features[:, :4]
-        with pytest.raises(ShapeError):
-            gap.forward(model, batch)
+
+class TestPredictRows:
+    @pytest.fixture(scope="class")
+    def rows(self, topo):
+        edgeless = cs.BinaryStateRow((0,) * topo.n_apps, (0,) * topo.n_params,
+                                     (0,) * topo.n_kpis, 0)
+        return [edgeless] + list(cs.synth_dataset(topo, 40, 0.5, 21).rows[:39])
+
+    def test_chunk_size_does_not_change_probabilities(self, topo, rows):
+        model = gap.ModelParams.init(4)
+        model.kind_weights[:] = [0.7, 1.3, 2.1]
+        small = gap.predict_rows(model, topo, rows, chunk_size=7)
+        large = gap.predict_rows(model, topo, rows, chunk_size=512)
+        assert small.shape == (40, 4)
+        assert np.array_equal(small, large)
+        ref = dense_probs(model, [build_graph(topo, r) for r in rows])
+        assert np.allclose(small, ref, rtol=0, atol=1e-12)
+        assert np.allclose(large, ref, rtol=0, atol=1e-12)
+
+    def test_agrees_with_single_graph_predict(self, topo, rows):
+        model = gap.ModelParams.init(5)
+        probs = gap.predict_rows(model, topo, rows[:8], chunk_size=3)
+        for row, expected in zip(rows[:8], probs):
+            label, single = gap.predict(model, build_graph(topo, row))
+            assert np.allclose(single, expected, rtol=0, atol=1e-12)
+            assert label == int(np.argmax(expected))
 
 
 class TestPredict:
@@ -325,6 +338,16 @@ class TestCheckpoints:
         assert (tmp_path / "fold1.ckpt.bin").exists()
         loaded, _, _ = gap.load_checkpoint(path)
         assert np.array_equal(loaded.to_flat(), model.to_flat())
+
+    def test_ragged_sidecar_rejected(self, tmp_path):
+        model = gap.ModelParams.init(5)
+        focal = gap.FocalConfig(gamma=0.0, alpha=np.ones(4))
+        path = tmp_path / "fold1.ckpt"
+        gap.save_checkpoint(model, path, seed=1, focal=focal, binary=True)
+        sidecar = tmp_path / "fold1.ckpt.bin"
+        sidecar.write_bytes(sidecar.read_bytes()[:-3])
+        with pytest.raises(CompatibilityError, match="fold1.ckpt.bin"):
+            gap.load_checkpoint(path)
 
     def test_wrong_feature_count_rejected(self, tmp_path):
         import json

