@@ -13,7 +13,8 @@ flows through the adjacency normalization into the edge-kind weights.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,9 @@ class TrainHistory:
     stop_epochs: list[int]
     best_epochs: list[int]
     fold_metrics: list[tuple[float, float, float]]
+    #: Pooled held-out argmax: every row as predicted by the best model
+    #: of the fold that held it out.
+    predictions: np.ndarray
 
 
 def compute_alpha(labels, n_classes: int = NUM_CLASSES) -> np.ndarray:
@@ -260,6 +264,12 @@ class RowTensors:
     arrays with local node ids plus a CSR-style pointer per row, since a
     typical graph has only a handful of edges.  ``kind_degrees`` holds
     the per-kind symmetric degree of every node, shape (R, 3, n).
+
+    ``buffers`` owns the scratch arrays that every batched pass over
+    these rows writes its (B, n, n) and (B, n, H) intermediates into.
+    They are allocated on first use, grow to the largest batch seen and
+    live as long as the packed rows, so thousands of training steps
+    reuse the same memory instead of faulting in fresh pages per step.
     """
 
     features: np.ndarray
@@ -269,6 +279,7 @@ class RowTensors:
     edge_dst: np.ndarray
     kind_degrees: np.ndarray
     labels: np.ndarray | None
+    buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 @dataclass(eq=False)
@@ -280,6 +291,17 @@ class _Batch:
     ev: np.ndarray      # (E,) local target node
     degt: np.ndarray    # (B, 3, n)
     n: int
+    buffers: dict[str, np.ndarray]  # RowTensors.buffers of the source rows
+
+
+def _scratch(batch: _Batch, name: str, shape) -> np.ndarray:
+    """Contiguous view of ``shape`` into the reusable buffer ``name``,
+    which grows when a batch needs more than it holds."""
+    size = math.prod(shape)
+    buf = batch.buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = batch.buffers[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _pack(graphs, count: int, n: int) -> RowTensors:
@@ -336,33 +358,47 @@ def _gather_batch(tensors: RowTensors, indices: np.ndarray) -> _Batch:
         eb=eb, ek=ek, eu=eu, ev=ev,
         degt=tensors.kind_degrees[indices],
         n=tensors.features.shape[1],
+        buffers=tensors.buffers,
     )
 
 
 def _forward_pass(model: ModelParams, batch: _Batch) -> dict:
     """Batched forward over (B, n, ...) blocks; caches every intermediate
-    the backward pass needs."""
+    the backward pass needs.
+
+    The large cached arrays are views into the batch's reusable buffers
+    (``RowTensors.buffers``), so a cache is valid only until the next
+    pass over the same packed rows; ``probs`` and ``pooled`` are fresh
+    arrays.  Buffer names follow their first occupant; arrays whose
+    lifetimes do not overlap share one buffer.
+    """
     b, n = batch.feats.shape[0], batch.n
+    hidden = model.hidden_dim
     kw = model.kind_weights
+    a = _scratch(batch, "a", (b, n, n))
     if batch.eb.size:
         lin = (batch.eb * n + batch.eu) * n + batch.ev
-        directed = np.bincount(lin, weights=kw[batch.ek],
-                               minlength=b * n * n).reshape(b, n, n)
-        a = directed + directed.transpose(0, 2, 1)
+        directed = _scratch(batch, "directed", (b, n, n))
+        directed.fill(0.0)
+        np.add.at(directed.reshape(-1), lin, kw[batch.ek])
+        np.add(directed, directed.transpose(0, 2, 1), out=a)
     else:
-        a = np.zeros((b, n, n))
+        a.fill(0.0)
     idx = np.arange(n)
     a[:, idx, idx] += 1.0
     deg = 1.0 + np.einsum("t,btn->bn", kw, batch.degt)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    ahat = a * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
+    ahat = np.multiply(a, inv_sqrt[:, :, None], out=_scratch(batch, "ahat", (b, n, n)))
+    ahat *= inv_sqrt[:, None, :]
 
-    xw1 = batch.feats @ model.w1
-    z1 = ahat @ xw1 + model.b1
-    h1 = np.maximum(z1, 0.0)
-    hw2 = h1 @ model.w2
-    z2 = ahat @ hw2 + model.b2
-    h2 = np.maximum(z2, 0.0)
+    xw1 = np.matmul(batch.feats, model.w1, out=_scratch(batch, "xw1", (b, n, hidden)))
+    z1 = np.matmul(ahat, xw1, out=_scratch(batch, "z1", (b, n, hidden)))
+    z1 += model.b1
+    h1 = np.maximum(z1, 0.0, out=_scratch(batch, "h1", (b, n, hidden)))
+    hw2 = np.matmul(h1, model.w2, out=_scratch(batch, "hw2", (b, n, hidden)))
+    z2 = np.matmul(ahat, hw2, out=_scratch(batch, "z2", (b, n, hidden)))
+    z2 += model.b2
+    h2 = np.maximum(z2, 0.0, out=_scratch(batch, "h2", (b, n, hidden)))
     pooled = h2.mean(axis=1)
     logits = pooled @ model.wc + model.bc
     probs = _softmax(logits)
@@ -394,7 +430,7 @@ def _kind_weight_grad(cache: dict, dahat: np.ndarray) -> np.ndarray:
     else:
         term1 = np.zeros(3)
     ratio = batch.degt / cache["deg"][:, None, :]
-    weighted = dahat * cache["ahat"]
+    weighted = np.multiply(dahat, cache["ahat"], out=_scratch(batch, "a", dahat.shape))
     term2 = 0.5 * (np.einsum("bn,btn->t", weighted.sum(axis=2), ratio)
                    + np.einsum("bn,btn->t", weighted.sum(axis=1), ratio))
     return term1 - term2
@@ -402,28 +438,37 @@ def _kind_weight_grad(cache: dict, dahat: np.ndarray) -> np.ndarray:
 
 def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> ModelParams:
     """Analytic gradients for every block, returned in a ModelParams
-    container with the same shapes as the parameters."""
+    container with the same shapes as the parameters.  Overwrites the
+    buffers behind ``cache``, which is spent afterwards."""
     batch = cache["batch"]
     ahat = cache["ahat"]
-    n = batch.n
+    b, n = batch.feats.shape[0], batch.n
+    hidden = model.w2.shape[0]
 
     dwc = cache["pooled"].T @ dlogits
     dbc = dlogits.sum(axis=0)
     dpooled = dlogits @ model.wc.T
 
-    hidden = model.w2.shape[0]
-    dz2 = np.where(cache["z2"] > 0, dpooled[:, None, :] / n, 0.0)
-    dhw2 = ahat @ dz2  # ahat is symmetric
+    # np.where, not a multiply by the mask: masked entries stay +0.0.
+    dz2 = _scratch(batch, "h2", (b, n, hidden))
+    dz2.fill(0.0)
+    np.copyto(dz2, dpooled[:, None, :] / n, where=cache["z2"] > 0)
+    # ahat is symmetric.
+    dhw2 = np.matmul(ahat, dz2, out=_scratch(batch, "dhw2", (b, n, hidden)))
     dw2 = cache["h1"].reshape(-1, hidden).T @ dhw2.reshape(-1, hidden)
     db2 = dz2.sum(axis=(0, 1))
-    dh1 = dhw2 @ model.w2.T
-    dahat = dz2 @ cache["hw2"].transpose(0, 2, 1)
+    dh1 = np.matmul(dhw2, model.w2.T, out=_scratch(batch, "dh1", (b, n, hidden)))
+    dahat = np.matmul(dz2, cache["hw2"].transpose(0, 2, 1),
+                      out=_scratch(batch, "directed", (b, n, n)))
 
-    dz1 = np.where(cache["z1"] > 0, dh1, 0.0)
-    dxw1 = ahat @ dz1
+    dz1 = _scratch(batch, "dhw2", (b, n, hidden))
+    dz1.fill(0.0)
+    np.copyto(dz1, dh1, where=cache["z1"] > 0)
+    dxw1 = np.matmul(ahat, dz1, out=_scratch(batch, "dh1", (b, n, hidden)))
     dw1 = batch.feats.reshape(-1, batch.feats.shape[2]).T @ dxw1.reshape(-1, hidden)
     db1 = dz1.sum(axis=(0, 1))
-    dahat += dz1 @ cache["xw1"].transpose(0, 2, 1)
+    dahat += np.matmul(dz1, cache["xw1"].transpose(0, 2, 1),
+                       out=_scratch(batch, "a", (b, n, n)))
 
     return ModelParams(
         w1=dw1, b1=db1, w2=dw2, b2=db2, wc=dwc, bc=dbc,
@@ -458,6 +503,8 @@ def predict_rows(model: ModelParams, topology: Topology, rows,
     Rows are packed one chunk at a time, so the packed tensors never
     hold more than ``chunk_size`` rows.
     """
+    if len(rows) == 0:
+        return np.zeros((0, NUM_CLASSES))
     parts = []
     for i in range(0, len(rows), chunk_size):
         chunk = rows[i:i + chunk_size]
@@ -567,7 +614,8 @@ def train(dataset: Dataset, cfg: TrainConfig, focal: FocalConfig):
 
     Each fold trains on the other k-1 folds and validates on its own;
     the parameters returned per fold are those of its best validation
-    epoch.  Returns (models, history).
+    epoch.  Every fold's steps and validation passes share one packing
+    of the rows and its scratch buffers.  Returns (models, history).
     """
     labels = dataset.labels()
     folds = stratified_kfold(labels, cfg.n_folds, cfg.seed)
@@ -576,7 +624,8 @@ def train(dataset: Dataset, cfg: TrainConfig, focal: FocalConfig):
         raise DomainError("every training row needs a label")
 
     models: list[ModelParams] = []
-    history = TrainHistory([], [], [], [], [])
+    history = TrainHistory([], [], [], [], [],
+                           predictions=np.zeros(len(dataset.rows), dtype=np.int64))
     all_idx = np.arange(len(dataset.rows))
     for fold_id, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, val_idx)
@@ -590,6 +639,7 @@ def train(dataset: Dataset, cfg: TrainConfig, focal: FocalConfig):
 
         val_probs = _probs_in_chunks(model, tensors, val_idx)
         preds = val_probs.argmax(axis=1)
+        history.predictions[val_idx] = preds
         history.fold_metrics.append(prf(confusion(preds, labels[val_idx])))
     return models, history
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .conflict_sim import Dataset, Topology, new_topology, synth_dataset
 from .errors import DomainError
-from .gap import FocalConfig, TrainConfig, compute_alpha, fold_predictions, train
+from .gap import FocalConfig, TrainConfig, TrainHistory, compute_alpha, train
 from .metrics import confusion, prf
 
 DEFAULT_GAMMA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
@@ -56,10 +56,10 @@ class SweepResult:
     repetitions: int
 
 
-def cross_validated_metrics(dataset: Dataset, models, cfg: TrainConfig):
-    """Weighted (precision, recall, f1) over pooled held-out predictions."""
-    preds = fold_predictions(dataset, models, cfg)
-    return prf(confusion(preds, dataset.labels()))
+def cross_validated_metrics(dataset: Dataset, history: TrainHistory):
+    """Weighted (precision, recall, f1) over the pooled held-out
+    predictions that training recorded."""
+    return prf(confusion(history.predictions, dataset.labels()))
 
 
 def gamma_sweep(dataset_specs, gamma_grid, repetitions: int,
@@ -91,8 +91,8 @@ def gamma_sweep(dataset_specs, gamma_grid, repetitions: int,
                                         spec.conflict_fraction, run_cfg.seed)
                 focal = FocalConfig(gamma=gamma,
                                     alpha=compute_alpha(dataset.labels()))
-                models, _ = train(dataset, run_cfg, focal)
-                triples.append(cross_validated_metrics(dataset, models, run_cfg))
+                _, history = train(dataset, run_cfg, focal)
+                triples.append(cross_validated_metrics(dataset, history))
             mean = np.asarray(triples, dtype=np.float64).mean(axis=0)
             cells.append(SweepCell(spec.name, float(gamma),
                                    float(mean[0]), float(mean[1]), float(mean[2])))

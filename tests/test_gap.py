@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,10 @@ class TestPredictRows:
         assert np.allclose(small, ref, rtol=0, atol=1e-12)
         assert np.allclose(large, ref, rtol=0, atol=1e-12)
 
+    def test_zero_rows_give_empty_probabilities(self, topo):
+        probs = gap.predict_rows(gap.ModelParams.init(4), topo, [])
+        assert probs.shape == (0, gap.NUM_CLASSES)
+
     def test_agrees_with_single_graph_predict(self, topo, rows):
         model = gap.ModelParams.init(5)
         probs = gap.predict_rows(model, topo, rows[:8], chunk_size=3)
@@ -293,10 +299,78 @@ class TestTrain:
     def test_fold_predictions_cover_every_row(self, small_ds):
         cfg = quick_cfg(max_epochs=30, patience=10)
         focal = gap.FocalConfig(gamma=0.0, alpha=np.ones(4))
-        models, _ = gap.train(small_ds, cfg, focal)
+        models, hist = gap.train(small_ds, cfg, focal)
         preds = gap.fold_predictions(small_ds, models, cfg)
         assert preds.shape == (80,)
         assert np.all((preds >= 0) & (preds <= 3))
+        assert np.array_equal(hist.predictions, preds)
+
+
+class TestScratchBuffers:
+    """Batched passes write their large intermediates into buffers owned
+    by the packed rows; reusing them must not change any number."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, topo):
+        ds = cs.synth_dataset(topo, 570, 0.10, 0)
+        focal = gap.FocalConfig(gamma=2.0, alpha=gap.compute_alpha(ds.labels()))
+        model = gap.ModelParams.init(3)
+        model.kind_weights[:] = [0.7, 1.3, 2.1]
+        model.b1[:] = 0.05
+        model.b2[:] = -0.02
+        return ds, focal, model
+
+    def test_training_step_allocates_no_large_temporaries(self, topo, reference):
+        ds, focal, model = reference
+        tensors = gap.row_tensors(topo, ds.rows)
+        idx = np.random.default_rng(0).permutation(len(ds.rows))[:128]
+        gap.loss_and_grad(model, tensors, idx, focal)
+        tracemalloc.start()
+        try:
+            gap.loss_and_grad(model, tensors, idx, focal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (128, 33, 33) float64 array alone is 1.1 MB.
+        assert peak < 2 * 2**20
+
+    def test_reuse_matches_fresh_packing(self, topo, reference):
+        ds, focal, model = reference
+        edgeless = cs.BinaryStateRow((0,) * topo.n_apps, (0,) * topo.n_params,
+                                     (0,) * topo.n_kpis, 0)
+        rows = list(ds.rows[:400]) + [edgeless] * 4
+        tensors = gap.row_tensors(topo, rows)
+        assert tensors.edge_ptr[400] == tensors.edge_ptr[404]
+        order = np.random.default_rng(1).permutation(400)
+        # A training batch, an epoch tail, a validation-sized batch, only
+        # edgeless rows, then a batch larger than any before.
+        batches = [order[:128], order[128:200], order[200:314],
+                   np.arange(400, 404), order[:160]]
+        blocks = [name for name, _ in gap.block_shapes()]
+        for idx in batches:
+            loss, grads = gap.loss_and_grad(model, tensors, idx, focal)
+            probs = gap._probs_in_chunks(model, tensors, idx)
+            batch_rows = [rows[i] for i in idx]
+            fresh = gap.row_tensors(topo, batch_rows)
+            loss_f, grads_f = gap.loss_and_grad(model, fresh, np.arange(idx.size),
+                                                focal)
+            assert loss == loss_f
+            for name in blocks:
+                assert np.array_equal(getattr(grads, name), getattr(grads_f, name)), name
+            assert np.array_equal(probs, gap.predict_rows(model, topo, batch_rows))
+            handed_out = [probs] + [getattr(grads, name) for name in blocks]
+            assert not any(np.shares_memory(x, buf) for x in handed_out
+                           for buf in tensors.buffers.values())
+
+    def test_cache_survives_a_pass_on_other_rows(self, topo, reference):
+        ds, focal, model = reference
+        first = gap.row_tensors(topo, ds.rows[:128])
+        other = gap.row_tensors(topo, ds.rows[128:256])
+        cache = gap._forward_pass(model, gap._gather_batch(first, np.arange(128)))
+        kept = {k: v.copy() for k, v in cache.items() if isinstance(v, np.ndarray)}
+        gap.loss_and_grad(model, other, np.arange(128), focal)
+        for k, v in kept.items():
+            assert np.array_equal(cache[k], v), k
 
 
 class TestEndToEndGradient:
