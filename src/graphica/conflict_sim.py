@@ -79,8 +79,9 @@ class Topology:
     ``controls`` holds (parameter, app) pairs, ``kpi_deps`` (kpi, parameter)
     pairs, and ``param_deps`` (target parameter, source parameter) pairs,
     all zero-based.  Construction validates the structural requirements:
-    no parameter depends on itself, every parameter has a controlling app,
-    and each conflict pattern has at least one candidate node.
+    no pair is listed twice, no parameter depends on itself, every
+    parameter has a controlling app, and each conflict pattern has at
+    least one candidate node.
     """
 
     n_apps: int
@@ -105,6 +106,12 @@ class Topology:
                 raise DomainError(f"parameter {src} depends on itself")
             if not (0 <= tgt < self.n_params and 0 <= src < self.n_params):
                 raise DomainError(f"parameter dependency ({tgt}, {src}) out of range")
+        for what, pairs in (("control pair", self.controls),
+                            ("KPI dependency", self.kpi_deps),
+                            ("parameter dependency", self.param_deps)):
+            twice = [pair for pair, count in Counter(pairs).items() if count > 1]
+            if twice:
+                raise DomainError(f"duplicate {what} ({twice[0][0]}, {twice[0][1]})")
         if any(not self.controllers_by_param[p] for p in range(self.n_params)):
             raise DomainError("every parameter needs at least one controlling app")
         if not self.multi_controller_params:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,10 +260,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class RowTensors:
     """Packed per-row model inputs for one topology.
 
-    Node features are dense, shape (R, n, F); edges are kept as flat
-    arrays with local node ids plus a CSR-style pointer per row, since a
-    typical graph has only a handful of edges.  ``kind_degrees`` holds
-    the per-kind symmetric degree of every node, shape (R, 3, n).
+    ``features`` (R, n, F) are the node features and ``states`` (R, n)
+    the node state bits x.  ``kind_masks`` (3, n, n) holds, per edge
+    kind t, the union M_t of the packed graphs' directed edges plus its
+    transpose, so a mutual pair counts 2.  A row's symmetrized kind-t
+    adjacency is then M_t * outer(x, x): in a graph of one topology an
+    edge exists iff it is declared and both endpoints are active.
+    ``kind_degrees`` (R, 3, n) is the per-kind degree x * (M_t x).
 
     ``buffers`` owns the scratch arrays that every batched pass over
     these rows writes its (B, n, n) and (B, n, H) intermediates into.
@@ -273,28 +276,14 @@ class RowTensors:
     """
 
     features: np.ndarray
-    edge_ptr: np.ndarray
-    edge_kind: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
+    states: np.ndarray
+    kind_masks: np.ndarray
     kind_degrees: np.ndarray
     labels: np.ndarray | None
     buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
-@dataclass(eq=False)
-class _Batch:
-    feats: np.ndarray   # (B, n, F)
-    eb: np.ndarray      # (E,) batch-local graph index per edge
-    ek: np.ndarray      # (E,) edge kind
-    eu: np.ndarray      # (E,) local source node
-    ev: np.ndarray      # (E,) local target node
-    degt: np.ndarray    # (B, 3, n)
-    n: int
-    buffers: dict[str, np.ndarray]  # RowTensors.buffers of the source rows
-
-
-def _scratch(batch: _Batch, name: str, shape) -> np.ndarray:
+def _scratch(batch: RowTensors, name: str, shape) -> np.ndarray:
     """Contiguous view of ``shape`` into the reusable buffer ``name``,
     which grows when a batch needs more than it holds."""
     size = math.prod(shape)
@@ -307,28 +296,22 @@ def _scratch(batch: _Batch, name: str, shape) -> np.ndarray:
 def _pack(graphs, count: int, n: int) -> RowTensors:
     """Pack an iterable of ``count`` graphs with ``n`` nodes each."""
     feats = np.zeros((count, n, NUM_FEATURES))
-    degt = np.zeros((count, 3, n))
-    ptr = np.zeros(count + 1, dtype=np.int64)
-    kinds, srcs, dsts = [], [], []
+    states = np.zeros((count, n))
+    directed = np.zeros((3, n, n))
     labels = []
     for i, g in enumerate(graphs):
         feats[i] = g.features
-        kinds.append(g.edge_kind)
-        srcs.append(g.edge_src)
-        dsts.append(g.edge_dst)
-        ptr[i + 1] = ptr[i] + g.n_edges
-        if g.edge_src.size:
-            np.add.at(degt[i], (g.edge_kind, g.edge_src), 1.0)
-            np.add.at(degt[i], (g.edge_kind, g.edge_dst), 1.0)
+        states[i] = g.states
+        directed[g.edge_kind, g.edge_src, g.edge_dst] = 1.0
         labels.append(-1 if g.label is None else g.label)
+    masks = directed + directed.transpose(0, 2, 1)
+    degrees = np.matmul(states, masks).transpose(1, 0, 2) * states[:, None, :]
     label_arr = np.array(labels, dtype=np.int64)
     return RowTensors(
         features=feats,
-        edge_ptr=ptr,
-        edge_kind=np.concatenate(kinds) if kinds else np.zeros(0, dtype=np.int64),
-        edge_src=np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64),
-        edge_dst=np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64),
-        kind_degrees=degt,
+        states=states,
+        kind_masks=masks,
+        kind_degrees=np.ascontiguousarray(degrees),
         labels=None if np.any(label_arr < 0) else label_arr,
     )
 
@@ -339,32 +322,27 @@ def row_tensors(topology: Topology, rows) -> RowTensors:
                  topology.width)
 
 
-def _gather_batch(tensors: RowTensors, indices: np.ndarray) -> _Batch:
+def _gather_batch(tensors: RowTensors, indices) -> RowTensors:
+    """The selected rows; the kind masks and scratch buffers are shared."""
     indices = np.asarray(indices, dtype=np.int64)
-    counts = tensors.edge_ptr[indices + 1] - tensors.edge_ptr[indices]
-    total = int(counts.sum())
-    if total:
-        before = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        flat = np.arange(total) + np.repeat(tensors.edge_ptr[indices] - before,
-                                            counts)
-        eb = np.repeat(np.arange(indices.size, dtype=np.int64), counts)
-        ek = tensors.edge_kind[flat]
-        eu = tensors.edge_src[flat]
-        ev = tensors.edge_dst[flat]
-    else:
-        eb = ek = eu = ev = np.zeros(0, dtype=np.int64)
-    return _Batch(
-        feats=tensors.features[indices],
-        eb=eb, ek=ek, eu=eu, ev=ev,
-        degt=tensors.kind_degrees[indices],
-        n=tensors.features.shape[1],
-        buffers=tensors.buffers,
+    return replace(
+        tensors,
+        features=tensors.features[indices],
+        states=tensors.states[indices],
+        kind_degrees=tensors.kind_degrees[indices],
+        labels=None if tensors.labels is None else tensors.labels[indices],
     )
 
 
-def _forward_pass(model: ModelParams, batch: _Batch) -> dict:
+def _forward_pass(model: ModelParams, batch: RowTensors) -> dict:
     """Batched forward over (B, n, ...) blocks; caches every intermediate
     the backward pass needs.
+
+    The adjacency is A = (sum_t w_t M_t) * outer(x, x) + I with the kind
+    weights w, and ahat = D^-1/2 A D^-1/2 with the degree
+    D = 1 + sum_t w_t kind_degrees_t.  With s = D^-1/2, ahat is formed
+    directly: (sum_t w_t M_t) * outer(x s, x s) off the diagonal, s^2 on
+    it.
 
     The large cached arrays are views into the batch's reusable buffers
     (``RowTensors.buffers``), so a cache is valid only until the next
@@ -372,26 +350,19 @@ def _forward_pass(model: ModelParams, batch: _Batch) -> dict:
     arrays.  Buffer names follow their first occupant; arrays whose
     lifetimes do not overlap share one buffer.
     """
-    b, n = batch.feats.shape[0], batch.n
+    b, n = batch.states.shape
     hidden = model.hidden_dim
     kw = model.kind_weights
-    a = _scratch(batch, "a", (b, n, n))
-    if batch.eb.size:
-        lin = (batch.eb * n + batch.eu) * n + batch.ev
-        directed = _scratch(batch, "directed", (b, n, n))
-        directed.fill(0.0)
-        np.add.at(directed.reshape(-1), lin, kw[batch.ek])
-        np.add(directed, directed.transpose(0, 2, 1), out=a)
-    else:
-        a.fill(0.0)
-    idx = np.arange(n)
-    a[:, idx, idx] += 1.0
-    deg = 1.0 + np.einsum("t,btn->bn", kw, batch.degt)
+    deg = 1.0 + np.einsum("t,btn->bn", kw, batch.kind_degrees)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    ahat = np.multiply(a, inv_sqrt[:, :, None], out=_scratch(batch, "ahat", (b, n, n)))
-    ahat *= inv_sqrt[:, None, :]
+    xs = batch.states * inv_sqrt
+    ahat = np.multiply(np.tensordot(kw, batch.kind_masks, axes=1), xs[:, :, None],
+                       out=_scratch(batch, "ahat", (b, n, n)))
+    ahat *= xs[:, None, :]
+    idx = np.arange(n)
+    ahat[:, idx, idx] = inv_sqrt * inv_sqrt
 
-    xw1 = np.matmul(batch.feats, model.w1, out=_scratch(batch, "xw1", (b, n, hidden)))
+    xw1 = np.matmul(batch.features, model.w1, out=_scratch(batch, "xw1", (b, n, hidden)))
     z1 = np.matmul(ahat, xw1, out=_scratch(batch, "z1", (b, n, hidden)))
     z1 += model.b1
     h1 = np.maximum(z1, 0.0, out=_scratch(batch, "h1", (b, n, hidden)))
@@ -403,34 +374,28 @@ def _forward_pass(model: ModelParams, batch: _Batch) -> dict:
     logits = pooled @ model.wc + model.bc
     probs = _softmax(logits)
     return {
-        "batch": batch, "deg": deg, "inv_sqrt": inv_sqrt, "ahat": ahat,
+        "batch": batch, "deg": deg, "ahat": ahat,
         "xw1": xw1, "z1": z1, "h1": h1, "hw2": hw2, "z2": z2,
         "pooled": pooled, "probs": probs,
     }
 
 
-def _kind_weight_grad(cache: dict, dahat: np.ndarray) -> np.ndarray:
-    """Gradient of the loss w.r.t. the three edge-kind weights.
+def _kind_weight_grad(cache: dict, dahat: np.ndarray, kw: np.ndarray) -> np.ndarray:
+    """Gradient of the loss w.r.t. the three edge-kind weights ``kw``.
 
-    With s = deg^{-1/2} and degt the per-kind degree,
-    d ahat_uv / d w_t = M_t,uv s_u s_v
-                        - ahat_uv (degt_u / deg_u + degt_v / deg_v) / 2,
-    where M_t is the symmetrized per-kind adjacency.
+    With s = deg^-1/2 and degt the per-kind degree,
+    d ahat_uv / d w_t = M_t,uv x_u x_v s_u s_v
+                        - ahat_uv (degt_u / deg_u + degt_v / deg_v) / 2.
+    Off the diagonal ahat_uv = w_t M_t,uv x_u x_v s_u s_v for the one
+    kind t whose mask holds (u, v): kinds join distinct node roles and
+    no parameter depends on itself, so the masks are disjoint with an
+    empty diagonal.  The first term summed against dahat is therefore
+    the kind-t sum of dahat * ahat divided by w_t.
     """
     batch = cache["batch"]
-    s = cache["inv_sqrt"]
-    if batch.eb.size:
-        n = batch.n
-        flat = dahat.ravel()
-        lin_uv = (batch.eb * n + batch.eu) * n + batch.ev
-        lin_vu = (batch.eb * n + batch.ev) * n + batch.eu
-        val = ((flat[lin_uv] + flat[lin_vu])
-               * s[batch.eb, batch.eu] * s[batch.eb, batch.ev])
-        term1 = np.bincount(batch.ek, weights=val, minlength=3)
-    else:
-        term1 = np.zeros(3)
-    ratio = batch.degt / cache["deg"][:, None, :]
-    weighted = np.multiply(dahat, cache["ahat"], out=_scratch(batch, "a", dahat.shape))
+    weighted = np.multiply(dahat, cache["ahat"], out=dahat)
+    term1 = np.einsum("tuv,uv->t", batch.kind_masks > 0, weighted.sum(axis=0)) / kw
+    ratio = batch.kind_degrees / cache["deg"][:, None, :]
     term2 = 0.5 * (np.einsum("bn,btn->t", weighted.sum(axis=2), ratio)
                    + np.einsum("bn,btn->t", weighted.sum(axis=1), ratio))
     return term1 - term2
@@ -442,7 +407,7 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     buffers behind ``cache``, which is spent afterwards."""
     batch = cache["batch"]
     ahat = cache["ahat"]
-    b, n = batch.feats.shape[0], batch.n
+    b, n = batch.states.shape
     hidden = model.w2.shape[0]
 
     dwc = cache["pooled"].T @ dlogits
@@ -459,20 +424,20 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     db2 = dz2.sum(axis=(0, 1))
     dh1 = np.matmul(dhw2, model.w2.T, out=_scratch(batch, "dh1", (b, n, hidden)))
     dahat = np.matmul(dz2, cache["hw2"].transpose(0, 2, 1),
-                      out=_scratch(batch, "directed", (b, n, n)))
+                      out=_scratch(batch, "dahat", (b, n, n)))
 
     dz1 = _scratch(batch, "dhw2", (b, n, hidden))
     dz1.fill(0.0)
     np.copyto(dz1, dh1, where=cache["z1"] > 0)
     dxw1 = np.matmul(ahat, dz1, out=_scratch(batch, "dh1", (b, n, hidden)))
-    dw1 = batch.feats.reshape(-1, batch.feats.shape[2]).T @ dxw1.reshape(-1, hidden)
+    dw1 = batch.features.reshape(-1, NUM_FEATURES).T @ dxw1.reshape(-1, hidden)
     db1 = dz1.sum(axis=(0, 1))
     dahat += np.matmul(dz1, cache["xw1"].transpose(0, 2, 1),
-                       out=_scratch(batch, "a", (b, n, n)))
+                       out=_scratch(batch, "dz1_xw1", (b, n, n)))
 
     return ModelParams(
         w1=dw1, b1=db1, w2=dw2, b2=db2, wc=dwc, bc=dbc,
-        kind_weights=_kind_weight_grad(cache, dahat),
+        kind_weights=_kind_weight_grad(cache, dahat, model.kind_weights),
     )
 
 
@@ -482,17 +447,16 @@ def loss_and_grad(model: ModelParams, tensors: RowTensors, indices,
     parameter block."""
     if tensors.labels is None:
         raise DomainError("rows must carry labels to compute a loss")
-    indices = np.asarray(indices, dtype=np.int64)
-    cache = _forward_pass(model, _gather_batch(tensors, indices))
-    loss, dlogits = focal_loss(cache["probs"], tensors.labels[indices], focal)
+    batch = _gather_batch(tensors, indices)
+    cache = _forward_pass(model, batch)
+    loss, dlogits = focal_loss(cache["probs"], batch.labels, focal)
     return loss, _backward_pass(model, cache, dlogits)
 
 
 def predict(model: ModelParams, graph: ConflictGraph):
     """Most probable label for one graph; ties resolve to the smaller
     class index."""
-    tensors = _pack([graph], 1, graph.n_nodes)
-    probs = _forward_pass(model, _gather_batch(tensors, [0]))["probs"][0]
+    probs = _forward_pass(model, _pack([graph], 1, graph.n_nodes))["probs"][0]
     return ConflictLabel(int(np.argmax(probs))), probs
 
 
@@ -501,15 +465,19 @@ def predict_rows(model: ModelParams, topology: Topology, rows,
     """Class probabilities for many rows of one topology, shape (R, C).
 
     Rows are packed one chunk at a time, so the packed tensors never
-    hold more than ``chunk_size`` rows.
+    hold more than ``chunk_size`` rows; every chunk's passes share one
+    set of scratch buffers.
     """
     if len(rows) == 0:
         return np.zeros((0, NUM_CLASSES))
+    buffers: dict[str, np.ndarray] = {}
     parts = []
     for i in range(0, len(rows), chunk_size):
         chunk = rows[i:i + chunk_size]
-        parts.append(_probs_in_chunks(model, row_tensors(topology, chunk),
-                                      np.arange(len(chunk)), chunk_size))
+        tensors = row_tensors(topology, chunk)
+        tensors.buffers = buffers
+        parts.append(_probs_in_chunks(model, tensors, np.arange(len(chunk)),
+                                      chunk_size))
     return np.concatenate(parts, axis=0)
 
 
@@ -555,7 +523,6 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
     kw_slice = slices["kind_weights"]
 
     val_batch = _gather_batch(tensors, val_idx)
-    val_labels = tensors.labels[val_idx]
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -588,7 +555,7 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
 
         model = ModelParams.from_flat(flat, hidden)
         val_probs = _forward_pass(model, val_batch)["probs"]
-        val_loss, _ = focal_loss(val_probs, val_labels, focal)
+        val_loss, _ = focal_loss(val_probs, val_batch.labels, focal)
         if not np.isfinite(val_loss):
             raise TrainingError(f"validation loss diverged at epoch {epoch}")
         val_losses.append(val_loss)

@@ -1,14 +1,16 @@
 """Conflict graph construction from binary-state rows.
 
 A row and its topology induce one directed graph over all apps,
-parameters and KPIs.  An influence edge exists only where both endpoints
-carry a ``1`` state: app->parameter (control), parameter->KPI (drive),
-parameter->parameter (drive).  Inactive entities stay in the graph as
-isolated nodes, so every graph over one topology has the same node
-count; the classifier packs a topology's graphs into fixed-size
-(rows, nodes, features) tensors (``gap.row_tensors``).  Besides that
-packing, graphs are read where a person reads them: root cause tracing
-and the edge-list debug export.
+parameters and KPIs.  An influence edge exists iff the topology declares
+it and both endpoints carry a ``1`` state: app->parameter (control),
+parameter->KPI (drive), parameter->parameter (drive).  Inactive entities
+stay in the graph as isolated nodes, so every graph over one topology
+has the same node count, and its symmetrized kind-t edges are one fixed
+mask M_t gated by the row's state bits x: M_t * outer(x, x).  The
+classifier packs a topology's graphs in that form (``gap.row_tensors``):
+node features, state bits, and one mask per edge kind taken from the
+packed graphs' edges.  Besides that packing, graphs are read where a
+person reads them: root cause tracing and the edge-list debug export.
 """
 
 from __future__ import annotations

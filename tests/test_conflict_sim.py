@@ -253,6 +253,19 @@ class TestSerialization:
         cs.save_topology(topo, path)
         assert cs.load_topology(path) == topo
 
+    @pytest.mark.parametrize("key, what", [("controls", "control pair"),
+                                           ("kpi_deps", "KPI dependency"),
+                                           ("param_deps", "parameter dependency")])
+    def test_duplicate_pair_is_rejected(self, topo, tmp_path, key, what):
+        import json
+        obj = json.loads(cs.topology_to_json(topo))
+        pair = obj[key][0]
+        obj[key].append(pair)
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match=rf"duplicate {what} \({pair[0]}, {pair[1]}\)"):
+            cs.load_topology(path)
+
     def test_topology_json_keys(self, topo):
         import json
         obj = json.loads(cs.topology_to_json(topo))

@@ -169,6 +169,19 @@ class TestPredictRows:
         assert np.allclose(small, ref, rtol=0, atol=1e-12)
         assert np.allclose(large, ref, rtol=0, atol=1e-12)
 
+    def test_chunks_share_one_buffer_set(self, topo, rows, monkeypatch):
+        packed = []
+        pack = gap.row_tensors
+
+        def recording(topology, chunk):
+            packed.append(pack(topology, chunk))
+            return packed[-1]
+
+        monkeypatch.setattr(gap, "row_tensors", recording)
+        gap.predict_rows(gap.ModelParams.init(4), topo, rows, chunk_size=7)
+        assert len(packed) == 6
+        assert all(t.buffers is packed[0].buffers for t in packed)
+
     def test_zero_rows_give_empty_probabilities(self, topo):
         probs = gap.predict_rows(gap.ModelParams.init(4), topo, [])
         assert probs.shape == (0, gap.NUM_CLASSES)
@@ -180,6 +193,36 @@ class TestPredictRows:
             label, single = gap.predict(model, build_graph(topo, row))
             assert np.allclose(single, expected, rtol=0, atol=1e-12)
             assert label == int(np.argmax(expected))
+
+
+class TestPacking:
+    """A row's kind-t adjacency is the kind mask gated by its active
+    nodes; a mutual parameter pair counts twice."""
+
+    def test_masks_and_degrees_match_the_graphs(self):
+        topo = cs.Topology(3, 3, 2, ((0, 0), (0, 1), (1, 1), (2, 2)),
+                           ((0, 0), (0, 1), (1, 2)), ((0, 1), (1, 0), (0, 2)), 0)
+        rng = np.random.default_rng(8)
+        rows = []
+        for _ in range(60):
+            bits = rng.integers(0, 2, topo.width).tolist()
+            rows.append(cs.BinaryStateRow(tuple(bits[:3]), tuple(bits[3:6]),
+                                          tuple(bits[6:])))
+        tensors = gap.row_tensors(topo, rows)
+        mutual = 0
+        for r, row in enumerate(rows):
+            g = build_graph(topo, row)
+            counts = np.zeros((3, g.n_nodes, g.n_nodes))
+            np.add.at(counts, (g.edge_kind, g.edge_src, g.edge_dst), 1.0)
+            np.add.at(counts, (g.edge_kind, g.edge_dst, g.edge_src), 1.0)
+            degrees = np.zeros((3, g.n_nodes))
+            np.add.at(degrees, (g.edge_kind, g.edge_src), 1.0)
+            np.add.at(degrees, (g.edge_kind, g.edge_dst), 1.0)
+            x = tensors.states[r]
+            assert np.array_equal(tensors.kind_masks * np.outer(x, x), counts), r
+            assert np.array_equal(tensors.kind_degrees[r], degrees), r
+            mutual += counts.max() == 2
+        assert mutual > 0
 
 
 class TestPredict:
@@ -340,7 +383,8 @@ class TestScratchBuffers:
                                      (0,) * topo.n_kpis, 0)
         rows = list(ds.rows[:400]) + [edgeless] * 4
         tensors = gap.row_tensors(topo, rows)
-        assert tensors.edge_ptr[400] == tensors.edge_ptr[404]
+        assert not tensors.states[400:].any()
+        assert not tensors.kind_degrees[400:].any()
         order = np.random.default_rng(1).permutation(400)
         # A training batch, an epoch tail, a validation-sized batch, only
         # edgeless rows, then a batch larger than any before.
