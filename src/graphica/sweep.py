@@ -3,6 +3,7 @@ for a grid of focusing parameters and conflict mixes."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .conflict_sim import Dataset, Topology, new_topology, synth_dataset
 from .errors import DomainError
-from .gap import FocalConfig, TrainConfig, TrainHistory, compute_alpha, train
+from .gap import FocalConfig, TrainConfig, TrainHistory, _cross_validate, compute_alpha
 from .metrics import confusion, prf
 
 DEFAULT_GAMMA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
@@ -80,22 +81,34 @@ def gamma_sweep(dataset_specs, gamma_grid, repetitions: int,
     if topology is None:
         topology = new_topology(*DEFAULT_TOPOLOGY_SIZES, seed=cfg.seed)
 
-    cells: list[SweepCell] = []
-    for spec in dataset_specs:
-        grid = [0.0] if spec.balanced else gamma_grid
-        for gamma in grid:
-            triples = []
+    plan = [(spec, gamma) for spec in dataset_specs
+            for gamma in ([0.0] if spec.balanced else gamma_grid)]
+    datasets = deque()  # the runs handed to training, oldest first
+
+    def runs():
+        for spec, gamma in plan:
             for rep in range(repetitions):
                 run_cfg = replace(cfg, seed=cfg.seed + rep)
                 dataset = synth_dataset(topology, spec.n_rows,
                                         spec.conflict_fraction, run_cfg.seed)
                 focal = FocalConfig(gamma=gamma,
                                     alpha=compute_alpha(dataset.labels()))
-                _, history = train(dataset, run_cfg, focal)
-                triples.append(cross_validated_metrics(dataset, history))
-            mean = np.asarray(triples, dtype=np.float64).mean(axis=0)
-            cells.append(SweepCell(spec.name, float(gamma),
-                                   float(mean[0]), float(mean[1]), float(mean[2])))
+                datasets.append(dataset)
+                yield dataset, run_cfg, focal
+
+    # Every fold of every run is one job of one scheduler call, so a
+    # single worker pool serves the whole grid.
+    n_jobs = len(plan) * repetitions * cfg.n_folds
+    work = sum(cfg.max_epochs * spec.n_rows * (cfg.n_folds - 1)
+               for spec, _ in plan) * repetitions
+    triples = [cross_validated_metrics(datasets.popleft(), history)
+               for _, history in _cross_validate(runs(), n_jobs, work)]
+    cells: list[SweepCell] = []
+    for i, (spec, gamma) in enumerate(plan):
+        mean = np.asarray(triples[i * repetitions:(i + 1) * repetitions],
+                          dtype=np.float64).mean(axis=0)
+        cells.append(SweepCell(spec.name, float(gamma),
+                               float(mean[0]), float(mean[1]), float(mean[2])))
     return SweepResult(cells=cells, repetitions=repetitions)
 
 

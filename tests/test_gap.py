@@ -467,6 +467,26 @@ class TestCheckpoints:
         with pytest.raises(CompatibilityError, match="fold1.ckpt.bin"):
             gap.load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inline_weights_rejected(self, tmp_path, bad):
+        model = gap.ModelParams.init(5)
+        model.w2[3, 4] = bad
+        focal = gap.FocalConfig(gamma=0.0, alpha=np.ones(4))
+        path = tmp_path / "fold0.ckpt"
+        gap.save_checkpoint(model, path, seed=1, focal=focal)
+        with pytest.raises(CompatibilityError, match="fold0.ckpt: .*not all finite"):
+            gap.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sidecar_weights_rejected(self, tmp_path, bad):
+        model = gap.ModelParams.init(5)
+        model.kind_weights[1] = bad
+        focal = gap.FocalConfig(gamma=0.0, alpha=np.ones(4))
+        path = tmp_path / "fold1.ckpt"
+        gap.save_checkpoint(model, path, seed=1, focal=focal, binary=True)
+        with pytest.raises(CompatibilityError, match="fold1.ckpt.bin: .*not all finite"):
+            gap.load_checkpoint(path)
+
     def test_wrong_feature_count_rejected(self, tmp_path):
         import json
         model = gap.ModelParams.init(6)
