@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,15 +51,14 @@ _SHUFFLE_STREAM = 17
 
 #: Planned training work, in row-epochs (the sum over fold jobs of
 #: max_epochs x training rows), below which fold jobs run in this
-#: process instead of a worker pool.  Measured on 2 vCPUs with the
-#: reference data (33 nodes, 5 folds): starting, importing into and
-#: joining a 2-worker spawn pool took 0.22-0.44 s, an in-process
-#: row-epoch about 30 us, and train took 0.38 / 0.72 / 1.40 / 2.71 s in
-#: this process against 0.46 / 0.68 / 1.12 / 1.90 s in the pool at
-#: 11,400 / 22,800 / 45,600 / 91,200 row-epochs.  The pool breaks even
-#: near 20,000; the constant sits higher so that small trainings, and
-#: tests that patch this module, stay in the calling process.
-_POOL_MIN_WORK = 50_000
+#: process instead of a worker pool: the measured break-even.  Measured
+#: on 2 vCPUs with the reference data (n = 33 nodes, 570 rows, 5 folds,
+#: median of 5): train took 0.41 / 0.52 / 0.67 / 0.80 s in this process
+#: against 0.49 / 0.60 / 0.63 / 0.73 s in a 2-worker spawn pool at
+#: 13,680 / 18,240 / 22,800 / 27,360 row-epochs.  Only n = 33 was
+#: measured; a row-epoch costs more on larger topologies, so there the
+#: pool should pay off at fewer row-epochs.
+_POOL_MIN_WORK = 20_000
 #: Fold jobs drawn per worker ahead of the oldest unfinished one.
 _JOBS_PER_WORKER = 2
 
@@ -602,15 +602,18 @@ def _fold_job(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
               focal: FocalConfig, fold_id: int):
     """Train one fold, then take the argmax of its best model over the
     fold's held-out rows."""
-    # A diverging fold overflows, and _train_fold's finiteness checks
-    # turn that into a TrainingError or NumericError.  Without the
-    # warnings, that error is the same in a worker process, which does
-    # not share the caller's warning filters.
-    with np.errstate(over="ignore", invalid="ignore"):
-        model, train_losses, val_losses, stop_epoch, best_epoch = _train_fold(
-            tensors, train_idx, val_idx, cfg, focal, fold_id)
+    model, train_losses, val_losses, stop_epoch, best_epoch = _train_fold(
+        tensors, train_idx, val_idx, cfg, focal, fold_id)
     preds = _probs_in_chunks(model, tensors, val_idx).argmax(axis=1)
     return model, train_losses, val_losses, stop_epoch, best_epoch, preds
+
+
+def _use_warning_filters(filters) -> None:
+    """Pool initializer: a spawned worker takes the caller's warning
+    filters, so a warning in a fold is handled as it would be in the
+    caller (an error where the caller made it one)."""
+    warnings.resetwarnings()
+    warnings.filters[:] = filters
 
 
 def _run_fold_jobs(jobs, n_jobs: int, work: int):
@@ -641,7 +644,9 @@ def _run_fold_jobs(jobs, n_jobs: int, work: int):
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(n_jobs, cpus)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_use_warning_filters,
+                             initargs=(list(warnings.filters),)) as pool:
         pending = deque()
         try:
             for job in jobs:
@@ -656,25 +661,31 @@ def _run_fold_jobs(jobs, n_jobs: int, work: int):
             pool.shutdown(cancel_futures=True)
 
 
-def _cross_validate(runs, n_jobs: int, work: int):
-    """Cross-validated training of each (dataset, cfg, focal) of
-    ``runs``: yields (models, history) per run, in order.
+def _cross_validate(runs):
+    """Cross-validated training of each run of ``runs``, a list of
+    (n_rows, cfg, make) where ``make()`` returns the run's (dataset,
+    focal) and the dataset has ``n_rows`` rows: yields (dataset, models,
+    history) per run, in order.
 
     Every fold of every run is one job of a single ``_run_fold_jobs``
-    call, which ``n_jobs`` and ``work`` describe.  A run's rows are
-    packed once, when its first fold job is drawn, and its folds share
-    that packing (and, in this process, its scratch buffers).
+    call, planned from the runs' sizes and configs.  A run's dataset is
+    made and its rows packed when its first fold job is drawn, and its
+    folds share that packing (and, in this process, its scratch
+    buffers).
     """
-    drawn = deque()  # (labels, folds) of each run whose jobs were drawn
+    n_jobs = sum(cfg.n_folds for _, cfg, _ in runs)
+    work = sum(cfg.max_epochs * n_rows * (cfg.n_folds - 1) for n_rows, cfg, _ in runs)
+    drawn = deque()  # (dataset, labels, folds) of each run whose jobs were drawn
 
     def jobs():
-        for dataset, cfg, focal in runs:
+        for _, cfg, make in runs:
+            dataset, focal = make()
             labels = dataset.labels()
             folds = stratified_kfold(labels, cfg.n_folds, cfg.seed)
             tensors = row_tensors(dataset.topology, dataset.rows)
             if tensors.labels is None:
                 raise DomainError("every training row needs a label")
-            drawn.append((labels, folds))
+            drawn.append((dataset, labels, folds))
             all_idx = np.arange(labels.size)
             for fold_id, val_idx in enumerate(folds):
                 yield (tensors, np.setdiff1d(all_idx, val_idx), val_idx, cfg,
@@ -682,7 +693,7 @@ def _cross_validate(runs, n_jobs: int, work: int):
 
     results = _run_fold_jobs(jobs(), n_jobs, work)
     for first in results:
-        labels, folds = drawn.popleft()
+        dataset, labels, folds = drawn.popleft()
         models: list[ModelParams] = []
         history = TrainHistory([], [], [], [], [],
                                predictions=np.zeros(labels.size, dtype=np.int64))
@@ -696,7 +707,7 @@ def _cross_validate(runs, n_jobs: int, work: int):
             history.best_epochs.append(best_epoch)
             history.predictions[val_idx] = preds
             history.fold_metrics.append(prf(confusion(preds, labels[val_idx])))
-        yield models, history
+        yield dataset, models, history
 
 
 def train(dataset: Dataset, cfg: TrainConfig, focal: FocalConfig):
@@ -708,8 +719,8 @@ def train(dataset: Dataset, cfg: TrainConfig, focal: FocalConfig):
     the work is large enough (``_run_fold_jobs``); the numbers do not
     depend on where they run.  Returns (models, history).
     """
-    work = cfg.max_epochs * len(dataset.rows) * (cfg.n_folds - 1)
-    (models, history), = _cross_validate([(dataset, cfg, focal)], cfg.n_folds, work)
+    (_, models, history), = _cross_validate(
+        [(len(dataset.rows), cfg, lambda: (dataset, focal))])
     return models, history
 
 

@@ -3,8 +3,8 @@ for a grid of focusing parameters and conflict mixes."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -83,26 +83,22 @@ def gamma_sweep(dataset_specs, gamma_grid, repetitions: int,
 
     plan = [(spec, gamma) for spec in dataset_specs
             for gamma in ([0.0] if spec.balanced else gamma_grid)]
-    datasets = deque()  # the runs handed to training, oldest first
 
-    def runs():
-        for spec, gamma in plan:
-            for rep in range(repetitions):
-                run_cfg = replace(cfg, seed=cfg.seed + rep)
-                dataset = synth_dataset(topology, spec.n_rows,
-                                        spec.conflict_fraction, run_cfg.seed)
-                focal = FocalConfig(gamma=gamma,
-                                    alpha=compute_alpha(dataset.labels()))
-                datasets.append(dataset)
-                yield dataset, run_cfg, focal
+    def make_run(spec, gamma, run_cfg):
+        dataset = synth_dataset(topology, spec.n_rows, spec.conflict_fraction,
+                                run_cfg.seed)
+        return dataset, FocalConfig(gamma=gamma, alpha=compute_alpha(dataset.labels()))
 
-    # Every fold of every run is one job of one scheduler call, so a
-    # single worker pool serves the whole grid.
-    n_jobs = len(plan) * repetitions * cfg.n_folds
-    work = sum(cfg.max_epochs * spec.n_rows * (cfg.n_folds - 1)
-               for spec, _ in plan) * repetitions
-    triples = [cross_validated_metrics(datasets.popleft(), history)
-               for _, history in _cross_validate(runs(), n_jobs, work)]
+    # Every run of the grid goes to one cross-validation call, so a
+    # single worker pool serves the whole sweep.  Datasets are made as
+    # training reaches them.
+    runs = []
+    for spec, gamma in plan:
+        for rep in range(repetitions):
+            run_cfg = replace(cfg, seed=cfg.seed + rep)
+            runs.append((spec.n_rows, run_cfg, partial(make_run, spec, gamma, run_cfg)))
+    triples = [cross_validated_metrics(dataset, history)
+               for dataset, _, history in _cross_validate(runs)]
     cells: list[SweepCell] = []
     for i, (spec, gamma) in enumerate(plan):
         mean = np.asarray(triples[i * repetitions:(i + 1) * repetitions],

@@ -328,7 +328,7 @@ class TestTrain:
         assert h1.train_losses == h2.train_losses
         assert h1.val_losses == h2.val_losses
 
-    def test_divergence_raises_training_error(self, small_ds, monkeypatch):
+    def test_divergence_raises_training_error(self, small_ds, in_process, monkeypatch):
         cfg = quick_cfg(max_epochs=20, patience=5)
         focal = gap.FocalConfig(gamma=0.0, alpha=np.ones(4))
 

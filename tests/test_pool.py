@@ -103,6 +103,9 @@ def test_sweep_csv_is_the_same_from_the_pool(tmp_path, pools, monkeypatch):
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
+# The learning rate overflows on purpose; with the overflow warnings
+# ignored, training's own finiteness checks raise on both paths.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_worker_error_reaches_the_caller(small_ds, pools, monkeypatch):
     with pytest.raises(GraphicaError) as pooled:
         within_limit(train_small, small_ds, learning_rate=1e150)
@@ -114,3 +117,16 @@ def test_worker_error_reaches_the_caller(small_ds, pools, monkeypatch):
         train_small(small_ds, learning_rate=1e150)
     assert type(pooled.value) is type(here.value)
     assert str(pooled.value) == str(here.value) == "training loss diverged at epoch 1"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_workers_take_the_callers_warning_filters(small_ds, pools, monkeypatch):
+    with pytest.raises(RuntimeWarning) as pooled:
+        within_limit(train_small, small_ds, learning_rate=1e150)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(gap, "_POOL_MIN_WORK", float("inf"))
+    with pytest.raises(RuntimeWarning) as here:
+        train_small(small_ds, learning_rate=1e150)
+    assert str(pooled.value) == str(here.value)
