@@ -3,7 +3,9 @@
 The model is two graph-convolution layers over the symmetric
 degree-normalized adjacency, global mean pooling, and a linear head with
 softmax.  Edge kinds enter the propagation as three learned positive
-scalar weights on the adjacency.  Training minimizes focal loss with
+scalar weights on the adjacency, which is never formed per row: one
+(n, n) edge mask serves every row, scaled by each row's degrees.
+Training minimizes focal loss with
 Adam under coupled weight decay, stratified k-fold cross-validation,
 per-epoch shuffled mini-batches, and early stopping on the validation
 loss.  All gradients are computed analytically, including the part that
@@ -109,13 +111,9 @@ class ModelParams:
         if flat.shape != (expected,):
             raise ShapeError(
                 f"flat vector has {flat.shape[0]} entries, expected {expected}")
-        parts = {}
-        offset = 0
-        for name, shape in block_shapes(hidden_dim):
-            size = int(np.prod(shape))
-            parts[name] = flat[offset:offset + size].reshape(shape)
-            offset += size
-        return cls(**parts)
+        slices = block_slices(hidden_dim)
+        return cls(**{name: flat[slices[name]].reshape(shape)
+                      for name, shape in block_shapes(hidden_dim)})
 
 
 def block_shapes(hidden_dim: int = HIDDEN_DIM):
@@ -154,14 +152,14 @@ class FocalConfig:
     n_classes: int = NUM_CLASSES
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise DomainError("gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.alpha.shape != (self.n_classes,):
             raise ShapeError(
                 f"alpha must have {self.n_classes} entries, got {self.alpha.shape}")
-        if np.any(self.alpha < 0):
-            raise DomainError("alpha entries must be >= 0")
+        if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0)):
+            raise DomainError("alpha entries must be finite and >= 0")
 
 
 @dataclass
@@ -286,7 +284,7 @@ class RowTensors:
     ``kind_degrees`` (R, 3, n) is the per-kind degree x * (M_t x).
 
     ``buffers`` owns the scratch arrays that every batched pass over
-    these rows writes its (B, n, n) and (B, n, H) intermediates into.
+    these rows writes its (B, n, H) and (B, n, F) intermediates into.
     They are allocated on first use, grow to the largest batch seen and
     live as long as the packed rows, so thousands of training steps
     reuse the same memory instead of faulting in fresh pages per step.
@@ -356,15 +354,29 @@ def _gather_batch(tensors: RowTensors, indices) -> RowTensors:
     )
 
 
+def _propagate(scale, y, out, inner):
+    """Write ahat y = xs * (M (xs * y)) + s2 * y into ``out`` for every
+    row, with ``scale`` = (M, xs, s2); return the first term, written
+    into ``inner``."""
+    mask, xs, s2 = scale
+    np.multiply(y, xs, out=out)
+    np.matmul(mask, out, out=inner)
+    inner *= xs
+    np.multiply(y, s2, out=out)
+    out += inner
+    return inner
+
+
 def _forward_pass(model: ModelParams, batch: RowTensors) -> dict:
     """Batched forward over (B, n, ...) blocks; caches every intermediate
     the backward pass needs.
 
-    The adjacency is A = (sum_t w_t M_t) * outer(x, x) + I with the kind
-    weights w, and ahat = D^-1/2 A D^-1/2 with the degree
-    D = 1 + sum_t w_t kind_degrees_t.  With s = D^-1/2, ahat is formed
-    directly: (sum_t w_t M_t) * outer(x s, x s) off the diagonal, s^2 on
-    it.
+    The adjacency is A = M * outer(x, x) + I with the shared mask
+    M = sum_t w_t M_t, and ahat = D^-1/2 A D^-1/2 with the degree
+    D = 1 + sum_t w_t kind_degrees_t.  With s = D^-1/2 and xs = x s,
+    ahat = diag(xs) M diag(xs) + diag(s^2), applied by ``_propagate``
+    without forming it.  Layer 1 propagates the F < H feature columns
+    first: z1 = (ahat X) w1 + b1.
 
     The large cached arrays are views into the batch's reusable buffers
     (``RowTensors.buffers``), so a cache is valid only until the next
@@ -373,94 +385,78 @@ def _forward_pass(model: ModelParams, batch: RowTensors) -> dict:
     lifetimes do not overlap share one buffer.
     """
     b, n = batch.states.shape
-    hidden = model.hidden_dim
-    kw = model.kind_weights
+    shape = (b, n, model.hidden_dim)
+    feats, kw = batch.features, model.kind_weights
     deg = 1.0 + np.einsum("t,btn->bn", kw, batch.kind_degrees)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    xs = batch.states * inv_sqrt
-    ahat = np.multiply(np.tensordot(kw, batch.kind_masks, axes=1), xs[:, :, None],
-                       out=_scratch(batch, "ahat", (b, n, n)))
-    ahat *= xs[:, None, :]
-    idx = np.arange(n)
-    ahat[:, idx, idx] = inv_sqrt * inv_sqrt
+    scale = (np.tensordot(kw, batch.kind_masks, axes=1),
+             (batch.states / np.sqrt(deg))[:, :, None], (1.0 / deg)[:, :, None])
 
-    xw1 = np.matmul(batch.features, model.w1, out=_scratch(batch, "xw1", (b, n, hidden)))
-    z1 = np.matmul(ahat, xw1, out=_scratch(batch, "z1", (b, n, hidden)))
+    ax = _scratch(batch, "ax", feats.shape)
+    inner1 = _propagate(scale, feats, ax, _scratch(batch, "inner1", feats.shape))
+    z1 = np.matmul(ax, model.w1, out=_scratch(batch, "z1", shape))
     z1 += model.b1
-    h1 = np.maximum(z1, 0.0, out=_scratch(batch, "h1", (b, n, hidden)))
-    hw2 = np.matmul(h1, model.w2, out=_scratch(batch, "hw2", (b, n, hidden)))
-    z2 = np.matmul(ahat, hw2, out=_scratch(batch, "z2", (b, n, hidden)))
+    h1 = np.maximum(z1, 0.0, out=_scratch(batch, "h1", shape))
+    hw2 = np.matmul(h1, model.w2, out=_scratch(batch, "hw2", shape))
+    z2 = _scratch(batch, "z2", shape)
+    inner2 = _propagate(scale, hw2, z2, _scratch(batch, "inner2", shape))
     z2 += model.b2
-    h2 = np.maximum(z2, 0.0, out=_scratch(batch, "h2", (b, n, hidden)))
-    pooled = h2.mean(axis=1)
-    logits = pooled @ model.wc + model.bc
-    probs = _softmax(logits)
-    return {
-        "batch": batch, "deg": deg, "ahat": ahat,
-        "xw1": xw1, "z1": z1, "h1": h1, "hw2": hw2, "z2": z2,
-        "pooled": pooled, "probs": probs,
-    }
-
-
-def _kind_weight_grad(cache: dict, dahat: np.ndarray, kw: np.ndarray) -> np.ndarray:
-    """Gradient of the loss w.r.t. the three edge-kind weights ``kw``.
-
-    With s = deg^-1/2 and degt the per-kind degree,
-    d ahat_uv / d w_t = M_t,uv x_u x_v s_u s_v
-                        - ahat_uv (degt_u / deg_u + degt_v / deg_v) / 2.
-    Off the diagonal ahat_uv = w_t M_t,uv x_u x_v s_u s_v for the one
-    kind t whose mask holds (u, v): kinds join distinct node roles and
-    no parameter depends on itself, so the masks are disjoint with an
-    empty diagonal.  The first term summed against dahat is therefore
-    the kind-t sum of dahat * ahat divided by w_t.
-    """
-    batch = cache["batch"]
-    weighted = np.multiply(dahat, cache["ahat"], out=dahat)
-    term1 = np.einsum("tuv,uv->t", batch.kind_masks > 0, weighted.sum(axis=0)) / kw
-    ratio = batch.kind_degrees / cache["deg"][:, None, :]
-    term2 = 0.5 * (np.einsum("bn,btn->t", weighted.sum(axis=2), ratio)
-                   + np.einsum("bn,btn->t", weighted.sum(axis=1), ratio))
-    return term1 - term2
+    h2 = np.maximum(z2, 0.0, out=_scratch(batch, "h2", shape))
+    # Ten times faster than h2.mean(axis=1) at n = 33.
+    pooled = np.matmul(np.ones(n), h2) / n
+    probs = _softmax(pooled @ model.wc + model.bc)
+    return {"batch": batch, "scale": scale, "ax": ax, "inner1": inner1, "z1": z1,
+            "h1": h1, "hw2": hw2, "inner2": inner2, "z2": z2,
+            "pooled": pooled, "probs": probs}
 
 
 def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> ModelParams:
     """Analytic gradients for every block, returned in a ModelParams
     container with the same shapes as the parameters.  Overwrites the
-    buffers behind ``cache``, which is spent afterwards."""
-    batch = cache["batch"]
-    ahat = cache["ahat"]
-    b, n = batch.states.shape
-    hidden = model.w2.shape[0]
+    buffers behind ``cache``, which is spent afterwards.
+
+    ahat is symmetric, so dy = ahat dz; layer 1 works on the features,
+    dy = dz1 w1^T.  Per node, summed over both layers' propagated y:
+    g = <dy, xs (M (xs y))> + <y, xs (M (xs dy))> and e = <dy, y>.
+    Through s = D^-1/2: dL/ds = g / s + 2 s e, ds/dw_t =
+    -s^3 kind_degrees_t / 2.  Through M: the sum of g over a node role
+    (feature columns 0-2) is sum_t w_t G_t over the kinds t it touches,
+    with G_t the kind-t gradient; apps touch PA, KPIs touch KP, and
+    parameters touch PA and KP once and PP from both ends.
+    """
+    batch, scale = cache["batch"], cache["scale"]
+    feats, hw2 = batch.features, cache["hw2"]
+    n, hidden = hw2.shape[1:]
 
     dwc = cache["pooled"].T @ dlogits
     dbc = dlogits.sum(axis=0)
     dpooled = dlogits @ model.wc.T
 
-    # np.where, not a multiply by the mask: masked entries stay +0.0.
-    dz2 = _scratch(batch, "h2", (b, n, hidden))
-    dz2.fill(0.0)
-    np.copyto(dz2, dpooled[:, None, :] / n, where=cache["z2"] > 0)
-    # ahat is symmetric.
-    dhw2 = np.matmul(ahat, dz2, out=_scratch(batch, "dhw2", (b, n, hidden)))
+    dz2 = np.multiply(dpooled[:, None, :] / n, cache["z2"] > 0,
+                      out=_scratch(batch, "h2", hw2.shape))
+    dhw2 = _scratch(batch, "dhw2", hw2.shape)
+    inner = _propagate(scale, dz2, dhw2, _scratch(batch, "z2", hw2.shape))
+    g = np.vecdot(dz2, cache["inner2"]) + np.vecdot(hw2, inner)
+    e = np.vecdot(dz2, hw2)
     dw2 = cache["h1"].reshape(-1, hidden).T @ dhw2.reshape(-1, hidden)
-    db2 = dz2.sum(axis=(0, 1))
-    dh1 = np.matmul(dhw2, model.w2.T, out=_scratch(batch, "dh1", (b, n, hidden)))
-    dahat = np.matmul(dz2, cache["hw2"].transpose(0, 2, 1),
-                      out=_scratch(batch, "dahat", (b, n, n)))
+    db2 = dz2.reshape(-1, hidden).sum(axis=0)
 
-    dz1 = _scratch(batch, "dhw2", (b, n, hidden))
-    dz1.fill(0.0)
-    np.copyto(dz1, dh1, where=cache["z1"] > 0)
-    dxw1 = np.matmul(ahat, dz1, out=_scratch(batch, "dh1", (b, n, hidden)))
-    dw1 = batch.features.reshape(-1, NUM_FEATURES).T @ dxw1.reshape(-1, hidden)
-    db1 = dz1.sum(axis=(0, 1))
-    dahat += np.matmul(dz1, cache["xw1"].transpose(0, 2, 1),
-                       out=_scratch(batch, "dz1_xw1", (b, n, n)))
+    dz1 = np.matmul(dhw2, model.w2.T, out=_scratch(batch, "h1", hw2.shape))
+    dz1 *= cache["z1"] > 0
+    dw1 = cache["ax"].reshape(-1, NUM_FEATURES).T @ dz1.reshape(-1, hidden)
+    db1 = dz1.reshape(-1, hidden).sum(axis=0)
+    dx = np.matmul(dz1, model.w1.T, out=_scratch(batch, "dx", feats.shape))
+    inner = _propagate(scale, dx, _scratch(batch, "ax", feats.shape),
+                       _scratch(batch, "dx_inner", feats.shape))
+    g += np.vecdot(dx, cache["inner1"]) + np.vecdot(feats, inner)
+    e += np.vecdot(dx, feats)
 
-    return ModelParams(
-        w1=dw1, b1=db1, w2=dw2, b2=db2, wc=dwc, bc=dbc,
-        kind_weights=_kind_weight_grad(cache, dahat, model.kind_weights),
-    )
+    app, param, kpi = np.einsum("bn,bnk->k", g, feats[:, :, :3])
+    s2 = scale[2][:, :, 0]
+    kind_grad = (np.array([app, kpi, 0.5 * (param - app - kpi)]) / model.kind_weights
+                 + np.einsum("bn,btn->t", -0.5 * s2 * (g + 2.0 * s2 * e),
+                             batch.kind_degrees))
+    return ModelParams(w1=dw1, b1=db1, w2=dw2, b2=db2, wc=dwc, bc=dbc,
+                       kind_weights=kind_grad)
 
 
 def loss_and_grad(model: ModelParams, tensors: RowTensors, indices,
@@ -799,8 +795,11 @@ def load_checkpoint(path):
             f"checkpoint has {flat.shape[0]} weights, expected "
             f"{flat_size(hidden)} for H={hidden}")
     model = ModelParams.from_flat(flat.copy(), hidden)
-    focal = FocalConfig(gamma=float(obj["gamma"]),
-                        alpha=np.asarray(obj["alpha"], dtype=np.float64))
+    try:
+        focal = FocalConfig(gamma=float(obj["gamma"]),
+                            alpha=np.asarray(obj["alpha"], dtype=np.float64))
+    except (DomainError, ShapeError) as exc:
+        raise CompatibilityError(f"{path}: {exc}") from exc
     return model, focal, int(obj["seed"])
 
 

@@ -1,8 +1,8 @@
 """Adam with coupled weight decay over one flat parameter vector.
 
 Everything runs in 64-bit floats on plain numpy arrays.  The graph
-kernel itself (adjacency normalization, convolutions, pooling) lives in
-the classifier's batched forward pass, ``gap._forward_pass``.
+kernel itself (degree-scaled propagation around one shared edge mask,
+convolutions, pooling) lives in ``gap._forward_pass``.
 """
 
 from __future__ import annotations

@@ -115,6 +115,16 @@ class TestFocalLoss:
         with pytest.raises(DomainError):
             gap.FocalConfig(gamma=-0.5, alpha=np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gamma_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="gamma"):
+            gap.FocalConfig(gamma=bad, alpha=np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_alpha_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="alpha"):
+            gap.FocalConfig(gamma=2.0, alpha=[1.0, bad, 1.0, 1.0])
+
 
 class TestForward:
     def test_rows_sum_to_one(self, topo, small_ds):
@@ -406,6 +416,29 @@ class TestScratchBuffers:
             assert not any(np.shares_memory(x, buf) for x in handed_out
                            for buf in tensors.buffers.values())
 
+    def test_no_buffer_holds_a_node_pair_array(self, topo, reference, monkeypatch):
+        """n = 33 exceeds H = 16, so a (B, n, n) buffer would be larger
+        than any (B, n, H) one."""
+        ds, focal, model = reference
+        n, hidden = topo.width, model.hidden_dim
+        assert n > hidden
+        tensors = gap.row_tensors(topo, ds.rows)
+        gap.loss_and_grad(model, tensors, np.arange(128), focal)
+        assert tensors.buffers
+        assert max(buf.size for buf in tensors.buffers.values()) <= 128 * n * hidden
+        packed = []
+        pack = gap.row_tensors
+
+        def recording(topology, chunk):
+            packed.append(pack(topology, chunk))
+            return packed[-1]
+
+        monkeypatch.setattr(gap, "row_tensors", recording)
+        gap.predict_rows(model, topo, ds.rows[:100], chunk_size=64)
+        buffers = packed[0].buffers
+        assert buffers
+        assert max(buf.size for buf in buffers.values()) <= 64 * n * hidden
+
     def test_cache_survives_a_pass_on_other_rows(self, topo, reference):
         ds, focal, model = reference
         first = gap.row_tensors(topo, ds.rows[:128])
@@ -434,6 +467,38 @@ class TestEndToEndGradient:
             return loss, grads.to_flat()
 
         assert grad_check(loss_fn, model.to_flat(), eps=1e-5) < 1e-4
+
+    def test_kind_weights_with_a_mutual_parameter_pair(self):
+        """Parameters 0 and 1 drive each other, so their PP mask entry is
+        2; the kind-weight gradient still matches central differences."""
+        topo = cs.Topology(3, 4, 3, ((0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 1)),
+                           ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3)),
+                           ((0, 1), (1, 0), (1, 2), (1, 3)), 0)
+        rng = np.random.default_rng(8)
+        rows = []
+        for label in rng.integers(0, 4, 16):
+            bits = (rng.random(topo.width) < 0.7).astype(int).tolist()
+            bits[3] = bits[4] = 1  # both parameters of the pair are active
+            rows.append(cs.BinaryStateRow(tuple(bits[:3]), tuple(bits[3:7]),
+                                          tuple(bits[7:]), int(label)))
+        tensors = gap.row_tensors(topo, rows)
+        assert tensors.kind_masks[2, 3, 4] == 2
+        idx = np.arange(16)
+        focal = gap.FocalConfig(gamma=2.0, alpha=np.array([0.4, 2.0, 2.0, 2.0]))
+        model = gap.ModelParams.init(9)
+        model.kind_weights[:] = [0.7, 1.3, 2.1]
+        model.b1[:] = 0.05
+        model.b2[:] = -0.02
+        _, grads = gap.loss_and_grad(model, tensors, idx, focal)
+        eps = 1e-6
+        for t in range(3):
+            losses = []
+            for step in (eps, -eps):
+                shifted = gap.ModelParams.from_flat(model.to_flat())
+                shifted.kind_weights[t] += step
+                losses.append(gap.loss_and_grad(shifted, tensors, idx, focal)[0])
+            numeric = (losses[0] - losses[1]) / (2 * eps)
+            assert grads.kind_weights[t] == pytest.approx(numeric, rel=1e-5), t
 
 
 class TestCheckpoints:
@@ -485,6 +550,20 @@ class TestCheckpoints:
         path = tmp_path / "fold1.ckpt"
         gap.save_checkpoint(model, path, seed=1, focal=focal, binary=True)
         with pytest.raises(CompatibilityError, match="fold1.ckpt.bin: .*not all finite"):
+            gap.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, bad", [("gamma", float("nan")),
+                                          ("alpha", [1.0, float("nan"), 1.0, 1.0])])
+    def test_non_finite_focal_header_rejected(self, tmp_path, key, bad):
+        import json
+        path = tmp_path / "fold0.ckpt"
+        gap.save_checkpoint(gap.ModelParams.init(6), path, seed=0,
+                            focal=gap.FocalConfig(gamma=2.0, alpha=np.ones(4)))
+        obj = json.loads(path.read_text())
+        obj[key] = bad
+        path.write_text(json.dumps(obj))
+        assert "NaN" in path.read_text()
+        with pytest.raises(CompatibilityError, match=f"fold0.ckpt: {key}"):
             gap.load_checkpoint(path)
 
     def test_wrong_feature_count_rejected(self, tmp_path):
