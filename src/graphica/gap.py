@@ -4,12 +4,16 @@ The model is two graph-convolution layers over the symmetric
 degree-normalized adjacency, global mean pooling, and a linear head with
 softmax.  Edge kinds enter the propagation as three learned positive
 scalar weights on the adjacency, which is never formed per row: one
-(n, n) edge mask serves every row, scaled by each row's degrees.
-Training minimizes focal loss with
-Adam under coupled weight decay, stratified k-fold cross-validation,
-per-epoch shuffled mini-batches, and early stopping on the validation
-loss.  All gradients are computed analytically, including the part that
-flows through the adjacency normalization into the edge-kind weights.
+(n, n) edge mask serves every row, scaled by each row's degrees.  A
+batch convolves only each row's active nodes, in K slots per row: an
+inactive node has no edge, so every inactive node of one role computes
+the same hidden vectors, and those enter the pool as one constant per
+role weighted by the row's inactive count.  Training minimizes focal
+loss with Adam under coupled weight decay, stratified k-fold
+cross-validation, per-epoch shuffled mini-batches, and early stopping on
+the validation loss.  All gradients are computed analytically, including
+the part that flows through the adjacency normalization into the
+edge-kind weights.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import os
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -282,18 +286,24 @@ class RowTensors:
     adjacency is then M_t * outer(x, x): in a graph of one topology an
     edge exists iff it is declared and both endpoints are active.
     ``kind_degrees`` (R, 3, n) is the per-kind degree x * (M_t x).
+    ``slots`` (R, S) lists each row's node ids in slot order, its active
+    nodes ascending and then its inactive ones ascending, where S is the
+    largest active-node count of any packed row (``_gather_batch``), in
+    the smallest unsigned integer type that holds n.
 
     ``buffers`` owns the scratch arrays that every batched pass over
-    these rows writes its (B, n, H) and (B, n, F) intermediates into.
-    They are allocated on first use, grow to the largest batch seen and
-    live as long as the packed rows, so thousands of training steps
-    reuse the same memory instead of faulting in fresh pages per step.
+    these rows writes its (B, K, K), (B, K, H) and (B, K, F)
+    intermediates into.  They are allocated on first use, grow to the
+    largest batch seen and live as long as the packed rows, so thousands
+    of training steps reuse the same memory instead of faulting in fresh
+    pages per step.
     """
 
     features: np.ndarray
     states: np.ndarray
     kind_masks: np.ndarray
     kind_degrees: np.ndarray
+    slots: np.ndarray
     labels: np.ndarray | None
     buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -303,7 +313,32 @@ class RowTensors:
         return {**self.__dict__, "buffers": {}}
 
 
-def _scratch(batch: RowTensors, name: str, shape) -> np.ndarray:
+@dataclass(eq=False)
+class Batch:
+    """Selected rows of a packing, each cut down to K slots: the row's
+    active nodes in ascending id, then inactive nodes as padding, where K
+    is the batch's largest active-node count.
+
+    ``features`` (B, K, F), ``states`` (B, K) and ``kind_degrees``
+    (B, 3, K) are the packed values at the slots' nodes; a padding slot
+    has state 0.  ``pairs`` (B, K, K) indexes each row's block of an
+    (n, n) mask flattened, and ``idle`` (B, 3) counts each row's inactive
+    nodes per role, padding slots included.  ``kind_masks`` and
+    ``buffers`` are the packing's own.
+    """
+
+    features: np.ndarray
+    states: np.ndarray
+    kind_degrees: np.ndarray
+    pairs: np.ndarray
+    idle: np.ndarray
+    n_nodes: int
+    kind_masks: np.ndarray
+    labels: np.ndarray | None
+    buffers: dict[str, np.ndarray]
+
+
+def _scratch(batch: Batch, name: str, shape) -> np.ndarray:
     """Contiguous view of ``shape`` into the reusable buffer ``name``,
     which grows when a batch needs more than it holds."""
     size = math.prod(shape)
@@ -326,12 +361,18 @@ def _pack(graphs, count: int, n: int) -> RowTensors:
         labels.append(-1 if g.label is None else g.label)
     masks = directed + directed.transpose(0, 2, 1)
     degrees = np.matmul(states, masks).transpose(1, 0, 2) * states[:, None, :]
+    width = int(states.sum(axis=1).max(initial=0))
+    # In the smallest type that holds a node id: every fold job sent to a
+    # worker process carries a copy of the packing.
+    slots = np.argsort(states == 0, axis=1, kind="stable")[:, :width].astype(
+        np.min_scalar_type(n))
     label_arr = np.array(labels, dtype=np.int64)
     return RowTensors(
         features=feats,
         states=states,
         kind_masks=masks,
         kind_degrees=np.ascontiguousarray(degrees),
+        slots=slots,
         labels=None if np.any(label_arr < 0) else label_arr,
     )
 
@@ -342,41 +383,60 @@ def row_tensors(topology: Topology, rows) -> RowTensors:
                  topology.width)
 
 
-def _gather_batch(tensors: RowTensors, indices) -> RowTensors:
-    """The selected rows; the kind masks and scratch buffers are shared."""
+def _gather_batch(tensors: RowTensors, indices) -> Batch:
+    """The selected rows, compacted to the batch's K slots per row."""
     indices = np.asarray(indices, dtype=np.int64)
-    return replace(
-        tensors,
-        features=tensors.features[indices],
-        states=tensors.states[indices],
-        kind_degrees=tensors.kind_degrees[indices],
+    states = tensors.states[indices]
+    n = states.shape[1]
+    width = int(states.sum(axis=1).max(initial=0))
+    # Widened, so the flat indices below cannot overflow the stored type.
+    slots = tensors.slots[indices, :width].astype(np.int64)
+    at = indices[:, None] * n + slots
+    kinds = (indices[:, None, None] * 3 + np.arange(3)[:, None]) * n + slots[:, None, :]
+    return Batch(
+        features=tensors.features.reshape(-1, NUM_FEATURES).take(at, axis=0),
+        states=tensors.states.take(at),
+        kind_degrees=tensors.kind_degrees.take(kinds),
+        pairs=slots[:, :, None] * n + slots[:, None, :],
+        idle=(1.0 - states) @ tensors.features[0, :, :3],
+        n_nodes=n,
+        kind_masks=tensors.kind_masks,
         labels=None if tensors.labels is None else tensors.labels[indices],
+        buffers=tensors.buffers,
     )
 
 
 def _propagate(scale, y, out, inner):
-    """Write ahat y = xs * (M (xs * y)) + s2 * y into ``out`` for every
-    row, with ``scale`` = (M, xs, s2); return the first term, written
-    into ``inner``."""
-    mask, xs, s2 = scale
-    np.multiply(y, xs, out=out)
-    np.matmul(mask, out, out=inner)
-    inner *= xs
+    """Write ahat y = P y + s2 * y into ``out`` for every row, with
+    ``scale`` = (P, s2) and P = diag(xs) M diag(xs) the row's scaled
+    block; return the first term, written into ``inner``."""
+    block, s2 = scale
+    np.matmul(block, y, out=inner)
     np.multiply(y, s2, out=out)
     out += inner
     return inner
 
 
-def _forward_pass(model: ModelParams, batch: RowTensors) -> dict:
-    """Batched forward over (B, n, ...) blocks; caches every intermediate
-    the backward pass needs.
+def _forward_pass(model: ModelParams, batch: Batch) -> dict:
+    """Batched forward over (B, K, ...) slot blocks plus one constant per
+    node role; caches every intermediate the backward pass needs.
 
     The adjacency is A = M * outer(x, x) + I with the shared mask
     M = sum_t w_t M_t, and ahat = D^-1/2 A D^-1/2 with the degree
     D = 1 + sum_t w_t kind_degrees_t.  With s = D^-1/2 and xs = x s,
-    ahat = diag(xs) M diag(xs) + diag(s^2), applied by ``_propagate``
-    without forming it.  Layer 1 propagates the F < H feature columns
-    first: z1 = (ahat X) w1 + b1.
+    ahat = diag(xs) M diag(xs) + diag(s^2).  Each row's (K, K) block of
+    M over its slots, scaled by xs on both sides, is taken once per
+    pass; ``_propagate`` adds the diagonal without forming ahat.  Layer
+    1 propagates the F < H feature columns first: z1 = (ahat X) w1 + b1.
+
+    An inactive node has no edge, so its row of ahat is its self-loop
+    and its features are its role one-hot: every inactive node of one
+    role has z1c = w1[role] + b1, h1c = relu(z1c), z2c = h1c w2 + b2 and
+    h2c = relu(z2c).  The pool adds h2 over the active slots (padding
+    slots are masked out by their state bit) and h2c weighted by each
+    row's inactive count per role, then divides by n.  The slot axis is
+    reduced by ``sum(axis=1)``, which adds slot after slot, so a row's
+    result does not depend on how many padding slots the batch gives it.
 
     The large cached arrays are views into the batch's reusable buffers
     (``RowTensors.buffers``), so a cache is valid only until the next
@@ -384,12 +444,15 @@ def _forward_pass(model: ModelParams, batch: RowTensors) -> dict:
     arrays.  Buffer names follow their first occupant; arrays whose
     lifetimes do not overlap share one buffer.
     """
-    b, n = batch.states.shape
-    shape = (b, n, model.hidden_dim)
     feats, kw = batch.features, model.kind_weights
+    shape = (*batch.states.shape, model.hidden_dim)
     deg = 1.0 + np.einsum("t,btn->bn", kw, batch.kind_degrees)
-    scale = (np.tensordot(kw, batch.kind_masks, axes=1),
-             (batch.states / np.sqrt(deg))[:, :, None], (1.0 / deg)[:, :, None])
+    xs = batch.states / np.sqrt(deg)
+    block = np.take(np.tensordot(kw, batch.kind_masks, axes=1), batch.pairs,
+                    out=_scratch(batch, "block", batch.pairs.shape))
+    block *= xs[:, :, None]
+    block *= xs[:, None, :]
+    scale = (block, (1.0 / deg)[:, :, None])
 
     ax = _scratch(batch, "ax", feats.shape)
     inner1 = _propagate(scale, feats, ax, _scratch(batch, "inner1", feats.shape))
@@ -401,12 +464,18 @@ def _forward_pass(model: ModelParams, batch: RowTensors) -> dict:
     inner2 = _propagate(scale, hw2, z2, _scratch(batch, "inner2", shape))
     z2 += model.b2
     h2 = np.maximum(z2, 0.0, out=_scratch(batch, "h2", shape))
-    # Ten times faster than h2.mean(axis=1) at n = 33.
-    pooled = np.matmul(np.ones(n), h2) / n
+    h2 *= batch.states[:, :, None]
+
+    z1c = model.w1[:3] + model.b1
+    h1c = np.maximum(z1c, 0.0)
+    z2c = h1c @ model.w2 + model.b2
+    pooled = h2.sum(axis=1)
+    pooled += batch.idle @ np.maximum(z2c, 0.0)
+    pooled /= batch.n_nodes
     probs = _softmax(pooled @ model.wc + model.bc)
     return {"batch": batch, "scale": scale, "ax": ax, "inner1": inner1, "z1": z1,
-            "h1": h1, "hw2": hw2, "inner2": inner2, "z2": z2,
-            "pooled": pooled, "probs": probs}
+            "h1": h1, "hw2": hw2, "inner2": inner2, "z2": z2, "z1c": z1c,
+            "h1c": h1c, "z2c": z2c, "pooled": pooled, "probs": probs}
 
 
 def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> ModelParams:
@@ -415,24 +484,33 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     buffers behind ``cache``, which is spent afterwards.
 
     ahat is symmetric, so dy = ahat dz; layer 1 works on the features,
-    dy = dz1 w1^T.  Per node, summed over both layers' propagated y:
-    g = <dy, xs (M (xs y))> + <y, xs (M (xs dy))> and e = <dy, y>.
+    dy = dz1 w1^T.  Per node, summed over both layers' propagated y,
+    with the scaled block P = diag(xs) M diag(xs):
+    g = <dy, P y> + <y, P dy> and e = <dy, y>.
     Through s = D^-1/2: dL/ds = g / s + 2 s e, ds/dw_t =
     -s^3 kind_degrees_t / 2.  Through M: the sum of g over a node role
     (feature columns 0-2) is sum_t w_t G_t over the kinds t it touches,
     with G_t the kind-t gradient; apps touch PA, KPIs touch KP, and
     parameters touch PA and KP once and PP from both ends.
+
+    Padding slots get a zero gradient at the pool, and so contribute
+    nothing.  The role constants' gradients, summed over each row's
+    inactive count per role, go into dw1[:3], db1, dw2 and db2; they add
+    nothing to the kind-weight gradient, since an inactive node's
+    degree is 1 whatever the weights.
     """
     batch, scale = cache["batch"], cache["scale"]
     feats, hw2 = batch.features, cache["hw2"]
-    n, hidden = hw2.shape[1:]
+    hidden = hw2.shape[2]
 
     dwc = cache["pooled"].T @ dlogits
     dbc = dlogits.sum(axis=0)
-    dpooled = dlogits @ model.wc.T
+    dmean = dlogits @ model.wc.T
+    dmean /= batch.n_nodes
 
-    dz2 = np.multiply(dpooled[:, None, :] / n, cache["z2"] > 0,
+    dz2 = np.multiply(dmean[:, None, :], cache["z2"] > 0,
                       out=_scratch(batch, "h2", hw2.shape))
+    dz2 *= batch.states[:, :, None]
     dhw2 = _scratch(batch, "dhw2", hw2.shape)
     inner = _propagate(scale, dz2, dhw2, _scratch(batch, "z2", hw2.shape))
     g = np.vecdot(dz2, cache["inner2"]) + np.vecdot(hw2, inner)
@@ -450,8 +528,17 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     g += np.vecdot(dx, cache["inner1"]) + np.vecdot(feats, inner)
     e += np.vecdot(dx, feats)
 
+    dz2c = batch.idle.T @ dmean
+    dz2c *= cache["z2c"] > 0
+    dw2 += cache["h1c"].T @ dz2c
+    db2 += dz2c.sum(axis=0)
+    dz1c = dz2c @ model.w2.T
+    dz1c *= cache["z1c"] > 0
+    dw1[:3] += dz1c
+    db1 += dz1c.sum(axis=0)
+
     app, param, kpi = np.einsum("bn,bnk->k", g, feats[:, :, :3])
-    s2 = scale[2][:, :, 0]
+    s2 = scale[1][:, :, 0]
     kind_grad = (np.array([app, kpi, 0.5 * (param - app - kpi)]) / model.kind_weights
                  + np.einsum("bn,btn->t", -0.5 * s2 * (g + 2.0 * s2 * e),
                              batch.kind_degrees))
@@ -474,7 +561,8 @@ def loss_and_grad(model: ModelParams, tensors: RowTensors, indices,
 def predict(model: ModelParams, graph: ConflictGraph):
     """Most probable label for one graph; ties resolve to the smaller
     class index."""
-    probs = _forward_pass(model, _pack([graph], 1, graph.n_nodes))["probs"][0]
+    batch = _gather_batch(_pack([graph], 1, graph.n_nodes), [0])
+    probs = _forward_pass(model, batch)["probs"][0]
     return ConflictLabel(int(np.argmax(probs))), probs
 
 

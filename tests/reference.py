@@ -1,12 +1,14 @@
 """Dense reference implementation of the classifier's forward pass.
 
 The program never forms a row's normalized adjacency: its batched
-forward (``gap._forward_pass``) applies it as per-row degree scalings
-around one edge mask shared by every row of a topology.  This module
-computes the same quantities the plain way, over the block-diagonal
-disjoint union of the graphs, so tests can compare the two: one dense
-(N, N) adjacency, two graph convolutions, a membership-indexed mean pool
-and a softmax head.
+forward (``gap._forward_pass``) convolves only each row's active nodes,
+in K slots per row, applying the adjacency as per-row degree scalings
+around the row's block of one edge mask shared by every row of a
+topology, and pools the inactive nodes as one constant per node role.
+This module computes the same quantities the plain way, over every node
+of the block-diagonal disjoint union of the graphs, so tests can compare
+the two: one dense (N, N) adjacency, two graph convolutions, a
+membership-indexed mean pool and a softmax head.
 It also holds the central-difference gradient check the gradient tests
 use.  Nothing here is fast; it is meant to be obviously right.
 """

@@ -122,7 +122,8 @@ def test_criterion_02_end_to_end_gradients(topology):
         model.b1[:] = 0.05
         model.b2[:] = 0.05
         cache = gap._forward_pass(model, gap._gather_batch(tensors, idx))
-        margin = min(np.abs(cache["z1"]).min(), np.abs(cache["z2"]).min())
+        # The role constants hold the inactive nodes' pre-activations.
+        margin = min(np.abs(cache[key]).min() for key in ("z1", "z2", "z1c", "z2c"))
         if margin < 1e-3:
             continue  # a ReLU kink too close to the evaluation point
 

@@ -234,6 +234,22 @@ class TestPacking:
             mutual += counts.max() == 2
         assert mutual > 0
 
+    @pytest.mark.parametrize("shape, seed", [((10, 13, 10), 0), ((3, 4, 3), 1),
+                                             ((6, 9, 5), 2), ((30, 40, 30), 3)])
+    def test_inactive_nodes_are_role_one_hots_without_degree(self, shape, seed):
+        """Compaction folds every inactive node of a role into one
+        constant, which holds because such a node looks the same in
+        every row."""
+        topo = cs.new_topology(*shape, seed)
+        tensors = gap.row_tensors(topo, cs.synth_dataset(topo, 60, 0.5, seed).rows)
+        roles = np.repeat([0, 1, 2], shape)
+        one_hots = np.eye(gap.NUM_FEATURES)[roles]
+        idle = tensors.states == 0
+        assert idle.any()
+        rows, nodes = np.nonzero(idle)
+        assert np.array_equal(tensors.features[rows, nodes], one_hots[nodes])
+        assert not tensors.kind_degrees.transpose(0, 2, 1)[rows, nodes].any()
+
 
 class TestPredict:
     def test_tie_breaks_to_smallest_index(self, topo, small_ds):
@@ -448,6 +464,68 @@ class TestScratchBuffers:
         gap.loss_and_grad(model, other, np.arange(128), focal)
         for k, v in kept.items():
             assert np.array_equal(cache[k], v), k
+
+
+class TestSlots:
+    """A batch gives every row K slots, K being its largest active-node
+    count; the inactive nodes are folded into one constant per role.  An
+    all-active row makes K = n and uses no role constant."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, topo):
+        rows = [r for r in cs.synth_dataset(topo, 40, 0.75, 13).rows if r.label != 3]
+        edgeless = cs.BinaryStateRow((0,) * topo.n_apps, (0,) * topo.n_params,
+                                     (0,) * topo.n_kpis, 3)
+        active = cs.BinaryStateRow((1,) * topo.n_apps, (1,) * topo.n_params,
+                                   (1,) * topo.n_kpis, 3)
+        model = gap.ModelParams.init(12)
+        model.kind_weights[:] = [0.7, 1.3, 2.1]
+        model.b1[:] = 0.05
+        model.b2[:] = -0.02
+        return rows[:6], edgeless, active, model
+
+    def test_all_active_row_changes_no_other_row(self, topo, mixed):
+        rows, edgeless, active, model = mixed
+        # Only the extra row has class 3, whose weight is 0, so it adds
+        # nothing to the loss or the gradient.
+        focal = gap.FocalConfig(gamma=2.0, alpha=np.array([0.4, 2.0, 2.0, 0.0]))
+        idx = np.arange(len(rows) + 1)
+        results = []
+        for extra in (edgeless, active):
+            tensors = gap.row_tensors(topo, rows + [extra])
+            results.append((gap._gather_batch(tensors, idx).states.shape[1],
+                            gap._probs_in_chunks(model, tensors, idx),
+                            *gap.loss_and_grad(model, tensors, idx, focal)))
+        (k_typical, probs, loss, grads), (k_full, probs_f, loss_f, grads_f) = results
+        assert k_typical < k_full == topo.width
+        assert np.array_equal(probs[:-1], probs_f[:-1])
+        ref = dense_probs(model, [build_graph(topo, r) for r in rows + [active]])
+        assert np.allclose(probs_f, ref, rtol=0, atol=1e-12)
+        assert loss == loss_f
+        for name, _ in gap.block_shapes():
+            assert np.array_equal(getattr(grads, name), getattr(grads_f, name)), name
+
+    def test_gradcheck_with_edgeless_and_all_active_rows(self, topo, mixed):
+        rows, edgeless, active, _ = mixed
+        tensors = gap.row_tensors(topo, rows[:3] + [edgeless, active])
+        focal = gap.FocalConfig(gamma=2.0, alpha=np.array([0.4, 2.0, 2.0, 2.0]))
+        idx = np.arange(5)
+        for seed in range(20):  # the first model with no ReLU kink nearby
+            model = gap.ModelParams.init([12, seed])
+            model.b1[:] = 0.05
+            model.b2[:] = -0.02
+            cache = gap._forward_pass(model, gap._gather_batch(tensors, idx))
+            if min(np.abs(cache[key]).min() for key in ("z1", "z2", "z1c", "z2c")) > 1e-3:
+                break
+        else:
+            pytest.fail("no kink-free model")
+
+        def loss_fn(flat):
+            m = gap.ModelParams.from_flat(flat)
+            loss, grads = gap.loss_and_grad(m, tensors, idx, focal)
+            return loss, grads.to_flat()
+
+        assert grad_check(loss_fn, model.to_flat(), eps=1e-5) < 1e-4
 
 
 class TestEndToEndGradient:
