@@ -217,9 +217,10 @@ def cmd_sweep(args) -> int:
                 specs.append(sweep.DatasetSpec("balanced", args.balanced_rows,
                                                0.75, balanced=True))
             else:
-                pct = int(token.rstrip("%"))
+                digits = token.rstrip("%")
+                pct = int(digits) if digits.isdecimal() else 0
                 if not 0 < pct <= 100:
-                    raise DomainError(f"dataset share {token!r} outside (0, 100]")
+                    raise DomainError(f"dataset share {token!r} is not a percentage in (0, 100]")
                 specs.append(sweep.DatasetSpec(f"{pct}%", s.rows, pct / 100.0))
     else:
         specs = sweep.default_dataset_specs(s.rows, args.balanced_rows)

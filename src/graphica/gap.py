@@ -3,21 +3,23 @@
 The model is two graph-convolution layers over the symmetric
 degree-normalized adjacency, global mean pooling, and a linear head with
 softmax.  Edge kinds enter the propagation as three learned positive
-scalar weights on the adjacency, which is never formed per row: one
-(n, n) edge mask serves every row, scaled by each row's degrees.  A
-batch convolves only each row's active nodes, in K slots per row: an
-inactive node has no edge, so every inactive node of one role computes
-the same hidden vectors, and those enter the pool as one constant per
-role weighted by the row's inactive count.  Training minimizes focal
-loss with Adam under coupled weight decay, stratified k-fold
-cross-validation, per-epoch shuffled mini-batches, and early stopping on
-the validation loss.  All gradients are computed analytically, including
-the part that flows through the adjacency normalization into the
-edge-kind weights.
+scalar weights on one (n, n) edge mask shared by every row.  A batch
+convolves only each row's active nodes, in K slots per row: the row's
+(K, K) block of the normalized adjacency (its block of the mask scaled
+by its degrees, self-loops on the diagonal) is formed once per pass,
+and every propagation is one batched matmul.  An inactive node has no
+edge, so every inactive node of one role computes the same hidden
+vectors, and those enter the pool as one constant per role weighted by
+the row's inactive count.  Training minimizes focal loss with Adam
+under coupled weight decay, stratified k-fold cross-validation,
+per-epoch shuffled mini-batches, and early stopping on the validation
+loss.  All gradients are computed analytically, including the part that
+flows through the adjacency normalization into the edge-kind weights.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -57,14 +59,14 @@ _SHUFFLE_STREAM = 17
 
 #: Planned training work, in row-epochs (the sum over fold jobs of
 #: max_epochs x training rows), below which fold jobs run in this
-#: process instead of a worker pool: the measured break-even.  Measured
-#: on 2 vCPUs with the reference data (n = 33 nodes, 570 rows, 5 folds,
-#: median of 5): train took 0.41 / 0.52 / 0.67 / 0.80 s in this process
-#: against 0.49 / 0.60 / 0.63 / 0.73 s in a 2-worker spawn pool at
-#: 13,680 / 18,240 / 22,800 / 27,360 row-epochs.  Only n = 33 was
-#: measured; a row-epoch costs more on larger topologies, so there the
-#: pool should pay off at fewer row-epochs.
-_POOL_MIN_WORK = 20_000
+#: process instead of a worker pool: the measured break-even.  On 2 vCPUs
+#: with the reference data (n = 33 nodes, 570 rows, 5 folds, median of 7)
+#: at 22.8k / 45.6k / 68.4k / 91.2k / 114k / 137k row-epochs, train took
+#: 0.21 / 0.58 / 0.64 / 0.82 / 1.08 / 1.45 s in this process and 0.42 /
+#: 0.68 / 0.83 / 0.83 / 0.88 / 1.14 s in a 2-worker spawn pool.  Only
+#: n = 33 was measured; a row-epoch costs more on larger topologies, so
+#: there the pool should pay off at fewer row-epochs.
+_POOL_MIN_WORK = 90_000
 #: Fold jobs drawn per worker ahead of the oldest unfinished one.
 _JOBS_PER_WORKER = 2
 
@@ -107,17 +109,16 @@ class ModelParams:
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate([getattr(self, name).ravel()
-                               for name, _ in block_shapes(self.hidden_dim)])
+                               for name, _, _ in _layout(self.hidden_dim)])
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, hidden_dim: int = HIDDEN_DIM) -> "ModelParams":
-        expected = flat_size(hidden_dim)
+        layout = _layout(hidden_dim)
+        expected = layout[-1][1].stop
         if flat.shape != (expected,):
             raise ShapeError(
                 f"flat vector has {flat.shape[0]} entries, expected {expected}")
-        slices = block_slices(hidden_dim)
-        return cls(**{name: flat[slices[name]].reshape(shape)
-                      for name, shape in block_shapes(hidden_dim)})
+        return cls(**{name: flat[sl].reshape(shape) for name, sl, shape in layout})
 
 
 def block_shapes(hidden_dim: int = HIDDEN_DIM):
@@ -133,18 +134,19 @@ def block_shapes(hidden_dim: int = HIDDEN_DIM):
     )
 
 
-def block_slices(hidden_dim: int = HIDDEN_DIM) -> dict[str, slice]:
-    out = {}
-    offset = 0
+@functools.cache
+def _layout(hidden_dim: int):
+    """(name, slice, shape) of each block in the flat vector, worked out
+    once per hidden width: a training step converts twice."""
+    out, offset = [], 0
     for name, shape in block_shapes(hidden_dim):
-        size = int(np.prod(shape))
-        out[name] = slice(offset, offset + size)
-        offset += size
-    return out
+        out.append((name, slice(offset, offset + math.prod(shape)), shape))
+        offset += math.prod(shape)
+    return tuple(out)
 
 
 def flat_size(hidden_dim: int = HIDDEN_DIM) -> int:
-    return sum(int(np.prod(shape)) for _, shape in block_shapes(hidden_dim))
+    return _layout(hidden_dim)[-1][1].stop
 
 
 @dataclass
@@ -259,7 +261,7 @@ def focal_loss(probs, labels, cfg: FocalConfig):
                 cfg.gamma * gap_term ** (cfg.gamma - 1.0) * log_pt,
                 0.0,
             )
-    loss = float(np.mean(-alpha * focal * log_pt))
+    loss = float((-alpha * focal * log_pt).sum() / batch)
     # d loss_i / d pt, then through softmax: dz = u * pt * (onehot - p).
     dpt = alpha * (focal_slope - focal / pt)
     scale = dpt * pt
@@ -292,11 +294,12 @@ class RowTensors:
     the smallest unsigned integer type that holds n.
 
     ``buffers`` owns the scratch arrays that every batched pass over
-    these rows writes its (B, K, K), (B, K, H) and (B, K, F)
-    intermediates into.  They are allocated on first use, grow to the
-    largest batch seen and live as long as the packed rows, so thousands
-    of training steps reuse the same memory instead of faulting in fresh
-    pages per step.
+    these rows writes its intermediates into: each row's (K, K) block of
+    the normalized adjacency, one (B, K, F) array and six (B, K, H)
+    ones.  They are allocated on first use, grow to the largest batch
+    seen and live as long as the packed rows, so thousands of training
+    steps reuse the same memory instead of faulting in fresh pages per
+    step.
     """
 
     features: np.ndarray
@@ -406,17 +409,6 @@ def _gather_batch(tensors: RowTensors, indices) -> Batch:
     )
 
 
-def _propagate(scale, y, out, inner):
-    """Write ahat y = P y + s2 * y into ``out`` for every row, with
-    ``scale`` = (P, s2) and P = diag(xs) M diag(xs) the row's scaled
-    block; return the first term, written into ``inner``."""
-    block, s2 = scale
-    np.matmul(block, y, out=inner)
-    np.multiply(y, s2, out=out)
-    out += inner
-    return inner
-
-
 def _forward_pass(model: ModelParams, batch: Batch) -> dict:
     """Batched forward over (B, K, ...) slot blocks plus one constant per
     node role; caches every intermediate the backward pass needs.
@@ -425,9 +417,11 @@ def _forward_pass(model: ModelParams, batch: Batch) -> dict:
     M = sum_t w_t M_t, and ahat = D^-1/2 A D^-1/2 with the degree
     D = 1 + sum_t w_t kind_degrees_t.  With s = D^-1/2 and xs = x s,
     ahat = diag(xs) M diag(xs) + diag(s^2).  Each row's (K, K) block of
-    M over its slots, scaled by xs on both sides, is taken once per
-    pass; ``_propagate`` adds the diagonal without forming ahat.  Layer
-    1 propagates the F < H feature columns first: z1 = (ahat X) w1 + b1.
+    ahat over its slots is formed once per pass: its block of M, scaled
+    by outer(xs, xs), with s^2 added to its diagonal.  Every
+    propagation is then one batched matmul, and the weight matmuls run
+    on (B K, .) views.  Layer 1 propagates the F < H feature columns
+    first: z1 = (ahat X) w1 + b1.
 
     An inactive node has no edge, so its row of ahat is its self-loop
     and its features are its role one-hot: every inactive node of one
@@ -435,8 +429,9 @@ def _forward_pass(model: ModelParams, batch: Batch) -> dict:
     h2c = relu(z2c).  The pool adds h2 over the active slots (padding
     slots are masked out by their state bit) and h2c weighted by each
     row's inactive count per role, then divides by n.  The slot axis is
-    reduced by ``sum(axis=1)``, which adds slot after slot, so a row's
-    result does not depend on how many padding slots the batch gives it.
+    reduced by ``einsum("bkh->bh")``, which adds slot after slot, so a
+    row's result does not depend on how many padding slots the batch
+    gives it.
 
     The large cached arrays are views into the batch's reusable buffers
     (``RowTensors.buffers``), so a cache is valid only until the next
@@ -444,37 +439,37 @@ def _forward_pass(model: ModelParams, batch: Batch) -> dict:
     arrays.  Buffer names follow their first occupant; arrays whose
     lifetimes do not overlap share one buffer.
     """
-    feats, kw = batch.features, model.kind_weights
-    shape = (*batch.states.shape, model.hidden_dim)
+    feats, kw, states = batch.features, model.kind_weights, batch.states
+    rows, k = states.shape
+    shape, flat = (rows, k, model.hidden_dim), (rows * k, model.hidden_dim)
     deg = 1.0 + np.einsum("t,btn->bn", kw, batch.kind_degrees)
-    xs = batch.states / np.sqrt(deg)
-    block = np.take(np.tensordot(kw, batch.kind_masks, axes=1), batch.pairs,
-                    out=_scratch(batch, "block", batch.pairs.shape))
-    block *= xs[:, :, None]
-    block *= xs[:, None, :]
-    scale = (block, (1.0 / deg)[:, :, None])
+    s2 = 1.0 / deg
+    xs = states / np.sqrt(deg)
+    block = np.take(kw @ batch.kind_masks.reshape(3, -1), batch.pairs,
+                    out=_scratch(batch, "block", (rows, k, k)))
+    block *= np.einsum("bi,bj->bij", xs, xs)
+    block.reshape(rows, k * k)[:, ::k + 1] += s2
 
-    ax = _scratch(batch, "ax", feats.shape)
-    inner1 = _propagate(scale, feats, ax, _scratch(batch, "inner1", feats.shape))
-    z1 = np.matmul(ax, model.w1, out=_scratch(batch, "z1", shape))
+    ax = np.matmul(block, feats, out=_scratch(batch, "ax", feats.shape))
+    z1 = np.matmul(ax.reshape(-1, NUM_FEATURES), model.w1,
+                   out=_scratch(batch, "z1", flat))
     z1 += model.b1
-    h1 = np.maximum(z1, 0.0, out=_scratch(batch, "h1", shape))
-    hw2 = np.matmul(h1, model.w2, out=_scratch(batch, "hw2", shape))
-    z2 = _scratch(batch, "z2", shape)
-    inner2 = _propagate(scale, hw2, z2, _scratch(batch, "inner2", shape))
-    z2 += model.b2
+    h1 = np.maximum(z1, 0.0, out=_scratch(batch, "h1", flat))
+    hw2 = np.matmul(h1, model.w2, out=_scratch(batch, "hw2", flat)).reshape(shape)
+    ahw2 = np.matmul(block, hw2, out=_scratch(batch, "ahw2", shape))
+    z2 = np.add(ahw2, model.b2, out=_scratch(batch, "z2", shape))
     h2 = np.maximum(z2, 0.0, out=_scratch(batch, "h2", shape))
-    h2 *= batch.states[:, :, None]
+    h2 *= states[:, :, None]
 
     z1c = model.w1[:3] + model.b1
     h1c = np.maximum(z1c, 0.0)
     z2c = h1c @ model.w2 + model.b2
-    pooled = h2.sum(axis=1)
+    pooled = np.einsum("bkh->bh", h2)
     pooled += batch.idle @ np.maximum(z2c, 0.0)
     pooled /= batch.n_nodes
     probs = _softmax(pooled @ model.wc + model.bc)
-    return {"batch": batch, "scale": scale, "ax": ax, "inner1": inner1, "z1": z1,
-            "h1": h1, "hw2": hw2, "inner2": inner2, "z2": z2, "z1c": z1c,
+    return {"batch": batch, "block": block, "s2": s2, "ax": ax, "z1": z1,
+            "h1": h1, "hw2": hw2, "ahw2": ahw2, "z2": z2, "h2": h2, "z1c": z1c,
             "h1c": h1c, "z2c": z2c, "pooled": pooled, "probs": probs}
 
 
@@ -484,14 +479,14 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     buffers behind ``cache``, which is spent afterwards.
 
     ahat is symmetric, so dy = ahat dz; layer 1 works on the features,
-    dy = dz1 w1^T.  Per node, summed over both layers' propagated y,
-    with the scaled block P = diag(xs) M diag(xs):
-    g = <dy, P y> + <y, P dy> and e = <dy, y>.
-    Through s = D^-1/2: dL/ds = g / s + 2 s e, ds/dw_t =
-    -s^3 kind_degrees_t / 2.  Through M: the sum of g over a node role
-    (feature columns 0-2) is sum_t w_t G_t over the kinds t it touches,
-    with G_t the kind-t gradient; apps touch PA, KPIs touch KP, and
-    parameters touch PA and KP once and PP from both ends.
+    dy = dz1 w1^T.  Per node, summed over both layers' propagated y:
+    ghat = <dy, ahat y> + <y, ahat dy> and e = <dy, y>.  Through
+    s = D^-1/2, with ds/dw_t = -s^3 kind_degrees_t / 2, the kind-weight
+    gradient is -s^2 ghat kind_degrees_t / 2.  Through M it comes from
+    the off-diagonal part g = ghat - 2 s^2 e: the sum of g over a node
+    role (feature columns 0-2) is sum_t w_t G_t over the kinds t it
+    touches, with G_t the kind-t gradient; apps touch PA, KPIs touch
+    KP, and parameters touch PA and KP once and PP from both ends.
 
     Padding slots get a zero gradient at the pool, and so contribute
     nothing.  The role constants' gradients, summed over each row's
@@ -499,7 +494,7 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     nothing to the kind-weight gradient, since an inactive node's
     degree is 1 whatever the weights.
     """
-    batch, scale = cache["batch"], cache["scale"]
+    batch, block, s2 = cache["batch"], cache["block"], cache["s2"]
     feats, hw2 = batch.features, cache["hw2"]
     hidden = hw2.shape[2]
 
@@ -508,24 +503,25 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     dmean = dlogits @ model.wc.T
     dmean /= batch.n_nodes
 
-    dz2 = np.multiply(dmean[:, None, :], cache["z2"] > 0,
+    # h2 > 0 only at active slots, so this also masks out the padding.
+    dz2 = np.multiply(dmean[:, None, :], cache["h2"] > 0,
                       out=_scratch(batch, "h2", hw2.shape))
-    dz2 *= batch.states[:, :, None]
-    dhw2 = _scratch(batch, "dhw2", hw2.shape)
-    inner = _propagate(scale, dz2, dhw2, _scratch(batch, "z2", hw2.shape))
-    g = np.vecdot(dz2, cache["inner2"]) + np.vecdot(hw2, inner)
+    dhw2 = np.matmul(block, dz2, out=_scratch(batch, "z2", hw2.shape))
+    ghat = np.vecdot(dz2, cache["ahw2"]) + np.vecdot(hw2, dhw2)
     e = np.vecdot(dz2, hw2)
-    dw2 = cache["h1"].reshape(-1, hidden).T @ dhw2.reshape(-1, hidden)
-    db2 = dz2.reshape(-1, hidden).sum(axis=0)
+    dhw2 = dhw2.reshape(-1, hidden)
+    dw2 = cache["h1"].T @ dhw2
+    db2 = np.einsum("bkh->h", dz2)
 
-    dz1 = np.matmul(dhw2, model.w2.T, out=_scratch(batch, "h1", hw2.shape))
+    dz1 = np.matmul(dhw2, model.w2.T, out=_scratch(batch, "h1", dhw2.shape))
     dz1 *= cache["z1"] > 0
-    dw1 = cache["ax"].reshape(-1, NUM_FEATURES).T @ dz1.reshape(-1, hidden)
-    db1 = dz1.reshape(-1, hidden).sum(axis=0)
-    dx = np.matmul(dz1, model.w1.T, out=_scratch(batch, "dx", feats.shape))
-    inner = _propagate(scale, dx, _scratch(batch, "ax", feats.shape),
-                       _scratch(batch, "dx_inner", feats.shape))
-    g += np.vecdot(dx, cache["inner1"]) + np.vecdot(feats, inner)
+    ax = cache["ax"]
+    dw1 = ax.reshape(-1, NUM_FEATURES).T @ dz1
+    db1 = np.einsum("nh->h", dz1)
+    dx = _scratch(batch, "z1", feats.shape)
+    np.matmul(dz1, model.w1.T, out=dx.reshape(-1, NUM_FEATURES))
+    ghat += np.vecdot(dx, ax)
+    ghat += np.vecdot(feats, np.matmul(block, dx, out=ax))
     e += np.vecdot(dx, feats)
 
     dz2c = batch.idle.T @ dmean
@@ -537,11 +533,10 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     dw1[:3] += dz1c
     db1 += dz1c.sum(axis=0)
 
-    app, param, kpi = np.einsum("bn,bnk->k", g, feats[:, :, :3])
-    s2 = scale[1][:, :, 0]
+    g = ghat - 2.0 * s2 * e
+    app, param, kpi = (g.reshape(-1) @ feats.reshape(-1, NUM_FEATURES))[:3]
     kind_grad = (np.array([app, kpi, 0.5 * (param - app - kpi)]) / model.kind_weights
-                 + np.einsum("bn,btn->t", -0.5 * s2 * (g + 2.0 * s2 * e),
-                             batch.kind_degrees))
+                 + np.einsum("bn,btn->t", -0.5 * s2 * ghat, batch.kind_degrees))
     return ModelParams(w1=dw1, b1=db1, w2=dw2, b2=db2, wc=dwc, bc=dbc,
                        kind_weights=kind_grad)
 
@@ -625,8 +620,8 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
     state = AdamState.initial(flat.size, cfg.learning_rate,
                               weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, fold_id, _SHUFFLE_STREAM])
-    slices = block_slices(hidden)
-    kw_slice = slices["kind_weights"]
+    layout = _layout(hidden)
+    kw_slice = layout[-1][1]  # the kind weights come last
 
     val_batch = _gather_batch(tensors, val_idx)
 
@@ -650,7 +645,7 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
                 raise TrainingError(f"training loss diverged at epoch {epoch}")
             grad_flat = grads.to_flat()
             if not np.all(np.isfinite(grad_flat)):
-                bad = next(name for name, sl in slices.items()
+                bad = next(name for name, sl, _ in layout
                            if not np.all(np.isfinite(grad_flat[sl])))
                 raise NumericError(
                     f"non-finite gradient in block {bad} at epoch {epoch}")

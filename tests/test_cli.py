@@ -213,6 +213,15 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert lines[1].startswith("10%,2.0,")
 
+    @pytest.mark.parametrize("token", ["tenpct", "%", "0", "150%", "1.5"])
+    def test_bad_dataset_share_is_a_domain_error(self, tmp_path, capsys, token):
+        code = run_cli(["sweep", "--datasets", "balanced", token,
+                        "-o", str(tmp_path / "sweep"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[DomainError]: dataset share {token!r} ")
+        assert err.count("\n") == 1
+
 
 class TestConfigResolution:
     def test_config_file_overrides_default(self, tmp_path):

@@ -527,6 +527,42 @@ class TestSlots:
 
         assert grad_check(loss_fn, model.to_flat(), eps=1e-5) < 1e-4
 
+    def test_diagonal_edge_cases_match_the_dense_reference(self, topo, mixed):
+        """Each row's block carries its self-loops on the diagonal.  A
+        batch of edgeless rows has K = 0; a row whose one active node has
+        no edge has a block that is its self-loop only; an all-active row
+        has K = n."""
+        rows, edgeless, active, _ = mixed
+        lone = cs.BinaryStateRow((1,) + (0,) * (topo.n_apps - 1), (0,) * topo.n_params,
+                                 (0,) * topo.n_kpis, 1)
+        empty = cs.BinaryStateRow(edgeless.app_states, edgeless.param_states,
+                                  edgeless.kpi_states, 2)
+        packed = [edgeless, empty, lone, active] + rows[:2]
+        tensors = gap.row_tensors(topo, packed)
+        focal = gap.FocalConfig(gamma=2.0, alpha=np.array([0.4, 2.0, 2.0, 2.0]))
+        for idx, width in (([0, 1], 0), ([2], 1), ([0, 2, 3, 4, 5], topo.width)):
+            assert gap._gather_batch(tensors, idx).states.shape[1] == width
+            for seed in range(20):  # the first model with no ReLU kink nearby
+                model = gap.ModelParams.init([14, seed])
+                model.kind_weights[:] = [0.7, 1.3, 2.1]
+                model.b1[:] = 0.05
+                model.b2[:] = -0.02
+                cache = gap._forward_pass(model, gap._gather_batch(tensors, idx))
+                if min(np.abs(cache[key]).min(initial=np.inf)
+                       for key in ("z1", "z2", "z1c", "z2c")) > 1e-3:
+                    break
+            else:
+                pytest.fail("no kink-free model")
+            ref = dense_probs(model, [build_graph(topo, packed[i]) for i in idx])
+            assert np.allclose(cache["probs"], ref, rtol=0, atol=1e-12), idx
+
+            def loss_fn(flat):
+                m = gap.ModelParams.from_flat(flat)
+                loss, grads = gap.loss_and_grad(m, tensors, idx, focal)
+                return loss, grads.to_flat()
+
+            assert grad_check(loss_fn, model.to_flat(), eps=1e-5) < 1e-4, idx
+
 
 class TestEndToEndGradient:
     def test_full_model_gradcheck(self, topo):
@@ -577,6 +613,39 @@ class TestEndToEndGradient:
                 losses.append(gap.loss_and_grad(shifted, tensors, idx, focal)[0])
             numeric = (losses[0] - losses[1]) / (2 * eps)
             assert grads.kind_weights[t] == pytest.approx(numeric, rel=1e-5), t
+
+    def test_kind_weights_when_the_pp_term_is_tiny(self):
+        """The PP gradient through the mask is half the parameter role sum
+        less the app and KPI role sums.  Each row here has one PP edge
+        against 4-6 PA and 3-5 KP edges, and the PP weight is at its floor,
+        so that difference is under 1e-4 of the sums it comes from; it
+        still matches central differences."""
+        topo = cs.Topology(3, 4, 3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0),
+                                     (3, 1), (3, 2)),
+                           ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (1, 3)),
+                           ((0, 1), (0, 2)), 0)
+        rows = [cs.BinaryStateRow((1, 1, 1), (1, 1, 0, p3), (1, 1, 1), label)
+                for label, p3 in ((0, 0), (1, 1), (2, 0), (3, 1), (0, 1), (2, 0))]
+        tensors = gap.row_tensors(topo, rows)
+        edges = np.einsum("tij,ri,rj->rt", tensors.kind_masks, tensors.states,
+                          tensors.states) / 2
+        assert np.all(edges[:, 2] == 1) and np.all(edges[:, :2] >= 3)
+        idx = np.arange(len(rows))
+        focal = gap.FocalConfig(gamma=2.0, alpha=np.array([0.4, 2.0, 2.0, 2.0]))
+        model = gap.ModelParams.init(21)
+        model.kind_weights[:] = [1.5, 2.0, gap.KIND_WEIGHT_FLOOR]
+        model.b1[:] = 0.05
+        model.b2[:] = -0.02
+        _, grads = gap.loss_and_grad(model, tensors, idx, focal)
+        eps = 1e-5
+        for t in range(3):
+            losses = []
+            for step in (eps, -eps):
+                shifted = gap.ModelParams.from_flat(model.to_flat())
+                shifted.kind_weights[t] += step
+                losses.append(gap.loss_and_grad(shifted, tensors, idx, focal)[0])
+            numeric = (losses[0] - losses[1]) / (2 * eps)
+            assert grads.kind_weights[t] == pytest.approx(numeric, rel=1e-6), t
 
 
 class TestCheckpoints:
