@@ -36,6 +36,7 @@ from .errors import (
     DomainError,
     EmptyInputError,
     GenerationError,
+    GraphicaError,
     ShapeError,
     SizeError,
     SynthesisError,
@@ -651,8 +652,10 @@ def save_topology(topology: Topology, path) -> None:
 
 
 def load_topology(path) -> Topology:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a topology file; every defect of it is a ``GraphicaError``
+    naming the file."""
     try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         return Topology(
             n_apps=int(obj["n_apps"]),
             n_params=int(obj["n_params"]),
@@ -663,7 +666,13 @@ def load_topology(path) -> Topology:
             seed=int(obj["seed"]),
         )
     except KeyError as exc:
-        raise DomainError(f"topology file is missing key {exc}") from exc
+        raise DomainError(f"{path}: topology file is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        # ValueError covers malformed JSON, fields that are not integers
+        # and pairs that are not pairs.
+        raise DomainError(f"{path}: malformed topology file ({exc})") from exc
+    except GraphicaError as exc:  # the topology's own checks
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _dataset_header(topology: Topology) -> list[str]:
@@ -688,7 +697,7 @@ def load_dataset(path, topology: Topology) -> Dataset:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _dataset_header(topology):
-            raise ShapeError("dataset header does not match the topology")
+            raise ShapeError(f"{path}:1: dataset header does not match the topology")
         rows = []
         a, p, k = topology.n_apps, topology.n_params, topology.n_kpis
         for record in reader:
@@ -699,12 +708,15 @@ def load_dataset(path, topology: Topology) -> Dataset:
                 bits = [int(x) for x in record]
             except ValueError as exc:
                 raise ShapeError(f"{path}:{reader.line_num}: non-integer field ({exc})") from exc
-            rows.append(BinaryStateRow(
-                app_states=tuple(bits[:a]),
-                param_states=tuple(bits[a:a + p]),
-                kpi_states=tuple(bits[a + p:a + p + k]),
-                label=bits[-1],
-            ))
+            try:
+                rows.append(BinaryStateRow(
+                    app_states=tuple(bits[:a]),
+                    param_states=tuple(bits[a:a + p]),
+                    kpi_states=tuple(bits[a + p:a + p + k]),
+                    label=bits[-1],
+                ))
+            except DomainError as exc:
+                raise DomainError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise EmptyInputError(f"no rows in {path}")
     counts = Counter(row.label for row in rows)

@@ -40,13 +40,13 @@ from .errors import (
     StratificationError,
     TrainingError,
 )
-from .gsc import NUM_NODE_FEATURES, ConflictGraph, build_graph
-from .metrics import confusion, prf
+from .gsc import ConflictGraph, build_graph
+from .metrics import NUM_CLASSES, confusion, prf
 from .numerics import AdamState, adam_step
 
-NUM_FEATURES = NUM_NODE_FEATURES
+#: Node feature layout: role one-hot (3) + state bit + normalized degree.
+NUM_FEATURES = 5
 HIDDEN_DIM = 16
-NUM_CLASSES = 4
 
 #: Edge-kind weights stay at or above this after every optimizer step so
 #: the adjacency normalization keeps strictly positive degrees.
@@ -83,12 +83,8 @@ class ModelParams:
     bc: np.ndarray            # (C,)
     kind_weights: np.ndarray  # (3,)
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[1]
-
     @classmethod
-    def init(cls, seed, hidden_dim: int = HIDDEN_DIM) -> "ModelParams":
+    def init(cls, seed) -> "ModelParams":
         """Fan-scaled uniform init for weights, zeros for biases, ones for
         the edge-kind weights."""
         rng = np.random.default_rng(seed)
@@ -98,55 +94,53 @@ class ModelParams:
             return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
         return cls(
-            w1=fan_uniform(NUM_FEATURES, hidden_dim),
-            b1=np.zeros(hidden_dim),
-            w2=fan_uniform(hidden_dim, hidden_dim),
-            b2=np.zeros(hidden_dim),
-            wc=fan_uniform(hidden_dim, NUM_CLASSES),
+            w1=fan_uniform(NUM_FEATURES, HIDDEN_DIM),
+            b1=np.zeros(HIDDEN_DIM),
+            w2=fan_uniform(HIDDEN_DIM, HIDDEN_DIM),
+            b2=np.zeros(HIDDEN_DIM),
+            wc=fan_uniform(HIDDEN_DIM, NUM_CLASSES),
             bc=np.zeros(NUM_CLASSES),
             kind_weights=np.ones(3),
         )
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate([getattr(self, name).ravel()
-                               for name, _, _ in _layout(self.hidden_dim)])
+                               for name, _, _ in _layout()])
 
     @classmethod
-    def from_flat(cls, flat: np.ndarray, hidden_dim: int = HIDDEN_DIM) -> "ModelParams":
-        layout = _layout(hidden_dim)
-        expected = layout[-1][1].stop
-        if flat.shape != (expected,):
+    def from_flat(cls, flat: np.ndarray) -> "ModelParams":
+        if flat.shape != (flat_size(),):
             raise ShapeError(
-                f"flat vector has {flat.shape[0]} entries, expected {expected}")
-        return cls(**{name: flat[sl].reshape(shape) for name, sl, shape in layout})
+                f"flat vector has {flat.shape[0]} entries, expected {flat_size()}")
+        return cls(**{name: flat[sl].reshape(shape) for name, sl, shape in _layout()})
 
 
-def block_shapes(hidden_dim: int = HIDDEN_DIM):
+def block_shapes():
     """Fixed serialization order of the parameter blocks."""
     return (
-        ("w1", (NUM_FEATURES, hidden_dim)),
-        ("b1", (hidden_dim,)),
-        ("w2", (hidden_dim, hidden_dim)),
-        ("b2", (hidden_dim,)),
-        ("wc", (hidden_dim, NUM_CLASSES)),
+        ("w1", (NUM_FEATURES, HIDDEN_DIM)),
+        ("b1", (HIDDEN_DIM,)),
+        ("w2", (HIDDEN_DIM, HIDDEN_DIM)),
+        ("b2", (HIDDEN_DIM,)),
+        ("wc", (HIDDEN_DIM, NUM_CLASSES)),
         ("bc", (NUM_CLASSES,)),
         ("kind_weights", (3,)),
     )
 
 
 @functools.cache
-def _layout(hidden_dim: int):
+def _layout():
     """(name, slice, shape) of each block in the flat vector, worked out
-    once per hidden width: a training step converts twice."""
+    once: a training step converts twice."""
     out, offset = [], 0
-    for name, shape in block_shapes(hidden_dim):
+    for name, shape in block_shapes():
         out.append((name, slice(offset, offset + math.prod(shape)), shape))
         offset += math.prod(shape)
     return tuple(out)
 
 
-def flat_size(hidden_dim: int = HIDDEN_DIM) -> int:
-    return _layout(hidden_dim)[-1][1].stop
+def flat_size() -> int:
+    return _layout()[-1][1].stop
 
 
 @dataclass
@@ -155,15 +149,14 @@ class FocalConfig:
 
     gamma: float
     alpha: np.ndarray
-    n_classes: int = NUM_CLASSES
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.shape != (self.n_classes,):
+        if self.alpha.shape != (NUM_CLASSES,):
             raise ShapeError(
-                f"alpha must have {self.n_classes} entries, got {self.alpha.shape}")
+                f"alpha must have {NUM_CLASSES} entries, got {self.alpha.shape}")
         if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0)):
             raise DomainError("alpha entries must be finite and >= 0")
 
@@ -212,17 +205,17 @@ class TrainHistory:
     predictions: np.ndarray
 
 
-def compute_alpha(labels, n_classes: int = NUM_CLASSES) -> np.ndarray:
+def compute_alpha(labels) -> np.ndarray:
     """Inverse class frequency weights, alpha_c = N / (C * n_c); a
     balanced label set yields all ones."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DomainError(f"labels outside 0..{n_classes - 1}")
-    counts = np.bincount(labels, minlength=n_classes)
-    for c in range(n_classes):
+    if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
+        raise DomainError(f"labels outside 0..{NUM_CLASSES - 1}")
+    counts = np.bincount(labels, minlength=NUM_CLASSES)
+    for c in range(NUM_CLASSES):
         if counts[c] == 0:
             raise DomainError(f"class {c} has no samples")
-    return labels.size / (n_classes * counts.astype(np.float64))
+    return labels.size / (NUM_CLASSES * counts.astype(np.float64))
 
 
 def focal_loss(probs, labels, cfg: FocalConfig):
@@ -234,14 +227,14 @@ def focal_loss(probs, labels, cfg: FocalConfig):
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or probs.shape[1] != cfg.n_classes:
-        raise ShapeError(f"probs must be (B, {cfg.n_classes}), got {probs.shape}")
+    if probs.ndim != 2 or probs.shape[1] != NUM_CLASSES:
+        raise ShapeError(f"probs must be (B, {NUM_CLASSES}), got {probs.shape}")
     if labels.shape != (probs.shape[0],):
         raise ShapeError(f"labels {labels.shape} do not match probs {probs.shape}")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
         raise DomainError("probability rows must sum to 1")
-    if labels.min() < 0 or labels.max() >= cfg.n_classes:
-        raise DomainError(f"labels outside 0..{cfg.n_classes - 1}")
+    if labels.min() < 0 or labels.max() >= NUM_CLASSES:
+        raise DomainError(f"labels outside 0..{NUM_CLASSES - 1}")
 
     batch = probs.shape[0]
     p = np.clip(probs, 1e-12, 1.0)
@@ -281,13 +274,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class RowTensors:
     """Packed per-row model inputs for one topology.
 
-    ``features`` (R, n, F) are the node features and ``states`` (R, n)
-    the node state bits x.  ``kind_masks`` (3, n, n) holds, per edge
-    kind t, the union M_t of the packed graphs' directed edges plus its
-    transpose, so a mutual pair counts 2.  A row's symmetrized kind-t
-    adjacency is then M_t * outer(x, x): in a graph of one topology an
-    edge exists iff it is declared and both endpoints are active.
-    ``kind_degrees`` (R, 3, n) is the per-kind degree x * (M_t x).
+    ``states`` (R, n) are the node state bits x.  ``kind_masks``
+    (3, n, n) holds, per edge kind t, the union M_t of the packed graphs'
+    directed edges plus its transpose, so a mutual pair counts 2.  A
+    row's symmetrized kind-t adjacency is then M_t * outer(x, x): in a
+    graph of one topology an edge exists iff it is declared and both
+    endpoints are active.  ``kind_degrees`` (R, 3, n) is the per-kind
+    degree x * (M_t x).  ``features`` (R, n, F) are the node features,
+    formed from those: [role one-hot, x, sum_t kind_degrees_t / (n - 1)].
     ``slots`` (R, S) lists each row's node ids in slot order, its active
     nodes ascending and then its inactive ones ascending, where S is the
     largest active-node count of any packed row (``_gather_batch``), in
@@ -352,18 +346,23 @@ def _scratch(batch: Batch, name: str, shape) -> np.ndarray:
 
 
 def _pack(graphs, count: int, n: int) -> RowTensors:
-    """Pack an iterable of ``count`` graphs with ``n`` nodes each."""
-    feats = np.zeros((count, n, NUM_FEATURES))
+    """Pack an iterable of ``count`` graphs with ``n`` nodes each, all
+    with the same node kinds."""
     states = np.zeros((count, n))
     directed = np.zeros((3, n, n))
+    kinds = np.zeros(n, dtype=np.int8)
     labels = []
     for i, g in enumerate(graphs):
-        feats[i] = g.features
         states[i] = g.states
         directed[g.edge_kind, g.edge_src, g.edge_dst] = 1.0
+        kinds = g.kinds
         labels.append(-1 if g.label is None else g.label)
     masks = directed + directed.transpose(0, 2, 1)
     degrees = np.matmul(states, masks).transpose(1, 0, 2) * states[:, None, :]
+    feats = np.empty((count, n, NUM_FEATURES))
+    feats[:, :, :3] = np.eye(3)[kinds]
+    feats[:, :, 3] = states
+    feats[:, :, 4] = degrees.sum(axis=1) / max(1, n - 1)
     width = int(states.sum(axis=1).max(initial=0))
     # In the smallest type that holds a node id: every fold job sent to a
     # worker process carries a copy of the packing.
@@ -441,7 +440,7 @@ def _forward_pass(model: ModelParams, batch: Batch) -> dict:
     """
     feats, kw, states = batch.features, model.kind_weights, batch.states
     rows, k = states.shape
-    shape, flat = (rows, k, model.hidden_dim), (rows * k, model.hidden_dim)
+    shape, flat = (rows, k, HIDDEN_DIM), (rows * k, HIDDEN_DIM)
     deg = 1.0 + np.einsum("t,btn->bn", kw, batch.kind_degrees)
     s2 = 1.0 / deg
     xs = states / np.sqrt(deg)
@@ -496,7 +495,6 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     """
     batch, block, s2 = cache["batch"], cache["block"], cache["s2"]
     feats, hw2 = batch.features, cache["hw2"]
-    hidden = hw2.shape[2]
 
     dwc = cache["pooled"].T @ dlogits
     dbc = dlogits.sum(axis=0)
@@ -509,7 +507,7 @@ def _backward_pass(model: ModelParams, cache: dict, dlogits: np.ndarray) -> Mode
     dhw2 = np.matmul(block, dz2, out=_scratch(batch, "z2", hw2.shape))
     ghat = np.vecdot(dz2, cache["ahw2"]) + np.vecdot(hw2, dhw2)
     e = np.vecdot(dz2, hw2)
-    dhw2 = dhw2.reshape(-1, hidden)
+    dhw2 = dhw2.reshape(-1, HIDDEN_DIM)
     dw2 = cache["h1"].T @ dhw2
     db2 = np.einsum("bkh->h", dz2)
 
@@ -615,12 +613,11 @@ def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
 def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
                 focal: FocalConfig, fold_id: int):
     model = ModelParams.init([cfg.seed, fold_id, _INIT_STREAM])
-    hidden = model.hidden_dim
     flat = model.to_flat()
     state = AdamState.initial(flat.size, cfg.learning_rate,
                               weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, fold_id, _SHUFFLE_STREAM])
-    layout = _layout(hidden)
+    layout = _layout()
     kw_slice = layout[-1][1]  # the kind weights come last
 
     val_batch = _gather_batch(tensors, val_idx)
@@ -639,7 +636,7 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
         running = 0.0
         for start in range(0, order.size, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
-            model = ModelParams.from_flat(flat, hidden)
+            model = ModelParams.from_flat(flat)
             loss, grads = loss_and_grad(model, tensors, chunk, focal)
             if not np.isfinite(loss):
                 raise TrainingError(f"training loss diverged at epoch {epoch}")
@@ -654,7 +651,7 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
             running += loss * chunk.size
         train_losses.append(running / order.size)
 
-        model = ModelParams.from_flat(flat, hidden)
+        model = ModelParams.from_flat(flat)
         val_probs = _forward_pass(model, val_batch)["probs"]
         val_loss, _ = focal_loss(val_probs, val_batch.labels, focal)
         if not np.isfinite(val_loss):
@@ -673,7 +670,7 @@ def _train_fold(tensors: RowTensors, train_idx, val_idx, cfg: TrainConfig,
             if stale_epochs >= cfg.patience:
                 break
 
-    return (ModelParams.from_flat(best_flat, hidden), train_losses,
+    return (ModelParams.from_flat(best_flat), train_losses,
             val_losses, epoch, best_epoch)
 
 
@@ -828,9 +825,9 @@ def save_checkpoint(model: ModelParams, path, seed: int, focal: FocalConfig,
     """
     path = Path(path)
     header = {
-        "F": int(model.w1.shape[0]),
-        "H": int(model.hidden_dim),
-        "C": int(model.wc.shape[1]),
+        "F": NUM_FEATURES,
+        "H": HIDDEN_DIM,
+        "C": NUM_CLASSES,
         "seed": int(seed),
         "gamma": float(focal.gamma),
         "alpha": [float(a) for a in focal.alpha],
@@ -847,43 +844,45 @@ def save_checkpoint(model: ModelParams, path, seed: int, focal: FocalConfig,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (model, focal config, training seed)."""
+    """Read a checkpoint; returns (model, focal config, training seed).
+    A header that cannot be read, or that is not for this model's
+    F, H and C, is a ``CompatibilityError`` naming the file."""
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("F", "H", "C", "seed", "gamma", "alpha"):
-        if key not in obj:
-            raise CompatibilityError(f"checkpoint is missing key {key!r}")
-    if int(obj["F"]) != NUM_FEATURES or int(obj["C"]) != NUM_CLASSES:
-        raise CompatibilityError(
-            f"checkpoint is for F={obj['F']}, C={obj['C']}; this model uses "
-            f"F={NUM_FEATURES}, C={NUM_CLASSES}")
-    hidden = int(obj["H"])
-    if "weights_file" in obj:
-        source = path.parent / obj["weights_file"]
-        raw = source.read_bytes()
-        if len(raw) % 8:
-            raise CompatibilityError(
-                f"{source}: {len(raw)} bytes is not a whole number of "
-                f"float64 weights")
-        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    elif "weights" in obj:
-        source = path
-        flat = np.asarray(obj["weights"], dtype=np.float64)
-    else:
-        raise CompatibilityError("checkpoint carries no weights")
-    if not np.all(np.isfinite(flat)):
-        raise CompatibilityError(f"{source}: checkpoint weights are not all finite")
-    if flat.shape != (flat_size(hidden),):
-        raise CompatibilityError(
-            f"checkpoint has {flat.shape[0]} weights, expected "
-            f"{flat_size(hidden)} for H={hidden}")
-    model = ModelParams.from_flat(flat.copy(), hidden)
     try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("F", "H", "C", "seed", "gamma", "alpha"):
+            if key not in obj:
+                raise CompatibilityError(f"{path}: checkpoint is missing key {key!r}")
+        shape = (int(obj["F"]), int(obj["H"]), int(obj["C"]))
+        if shape != (NUM_FEATURES, HIDDEN_DIM, NUM_CLASSES):
+            raise CompatibilityError(
+                f"{path}: checkpoint is for F={shape[0]}, H={shape[1]}, C={shape[2]}; "
+                f"this model uses F={NUM_FEATURES}, H={HIDDEN_DIM}, C={NUM_CLASSES}")
+        if "weights_file" in obj:
+            source = path.parent / obj["weights_file"]
+            raw = source.read_bytes()
+            if len(raw) % 8:
+                raise CompatibilityError(
+                    f"{source}: {len(raw)} bytes is not a whole number of "
+                    f"float64 weights")
+            flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        elif "weights" in obj:
+            source = path
+            flat = np.asarray(obj["weights"], dtype=np.float64)
+        else:
+            raise CompatibilityError(f"{path}: checkpoint carries no weights")
+        if not np.all(np.isfinite(flat)):
+            raise CompatibilityError(f"{source}: checkpoint weights are not all finite")
+        if flat.shape != (flat_size(),):
+            raise CompatibilityError(
+                f"{source}: checkpoint has {flat.size} weights, expected {flat_size()}")
         focal = FocalConfig(gamma=float(obj["gamma"]),
                             alpha=np.asarray(obj["alpha"], dtype=np.float64))
-    except (DomainError, ShapeError) as exc:
+        seed = int(obj["seed"])
+    except (DomainError, ShapeError, TypeError, ValueError) as exc:
+        # ValueError covers malformed JSON and fields that are not numbers.
         raise CompatibilityError(f"{path}: {exc}") from exc
-    return model, focal, int(obj["seed"])
+    return ModelParams.from_flat(flat.copy()), focal, seed
 
 
 def history_to_csv(history: TrainHistory, path) -> None:

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .conflict_sim import ConflictLabel
 from .errors import DomainError, EmptyInputError, ShapeError
 
-NUM_CLASSES = 4
+NUM_CLASSES = len(ConflictLabel)
 
 
-def confusion(preds, truth, n_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion(preds, truth) -> np.ndarray:
     """Count matrix with entry (t, p) = samples of true class t predicted
     as p."""
     preds = np.asarray(preds, dtype=np.int64)
@@ -23,22 +24,20 @@ def confusion(preds, truth, n_classes: int = NUM_CLASSES) -> np.ndarray:
     if preds.size == 0:
         raise EmptyInputError("no predictions to score")
     for name, arr in (("predictions", preds), ("truth", truth)):
-        if arr.min() < 0 or arr.max() >= n_classes:
-            raise DomainError(f"{name} contain labels outside 0..{n_classes - 1}")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+        if arr.min() < 0 or arr.max() >= NUM_CLASSES:
+            raise DomainError(f"{name} contain labels outside 0..{NUM_CLASSES - 1}")
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(cm, (truth, preds), 1)
     return cm
 
 
-def prf(cm: np.ndarray, averaging: str = "weighted"):
+def prf(cm: np.ndarray):
     """Support-weighted one-vs-rest precision, recall and F1.
 
     Per class, precision = TP/(TP+FP) and recall = TP/(TP+FN); a zero
     denominator yields 0.  Classes are then averaged weighted by support,
     so zero-support classes contribute nothing.
     """
-    if averaging != "weighted":
-        raise DomainError(f"unsupported averaging scheme: {averaging!r}")
     cm = np.asarray(cm, dtype=np.int64)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
         raise ShapeError(f"confusion matrix must be square, got {cm.shape}")

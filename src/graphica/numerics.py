@@ -14,6 +14,10 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
+#: Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam accumulators over one flat parameter vector.
@@ -21,27 +25,22 @@ class AdamState:
     The update applies coupled weight decay, g = grad + weight_decay * w,
     followed by the standard bias-corrected moment step:
 
-        m <- beta1 * m + (1 - beta1) * g
-        v <- beta2 * v + (1 - beta2) * g^2
-        w <- w - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        m <- BETA1 * m + (1 - BETA1) * g
+        v <- BETA2 * v + (1 - BETA2) * g^2
+        w <- w - lr * (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPS)
     """
 
     m: np.ndarray
     v: np.ndarray
     step: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
     def initial(cls, n_params: int, learning_rate: float,
-                weight_decay: float = 0.0, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+                weight_decay: float = 0.0) -> "AdamState":
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), step=0,
-                   learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                   eps=eps, weight_decay=weight_decay)
+                   learning_rate=learning_rate, weight_decay=weight_decay)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
@@ -56,9 +55,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
         raise NumericError(f"non-finite gradient at flat index {bad}")
     g = grads + state.weight_decay * params
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = state.m / (1.0 - BETA1 ** state.step)
+    v_hat = state.v / (1.0 - BETA2 ** state.step)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
     return new_params, state

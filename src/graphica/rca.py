@@ -2,8 +2,8 @@
 
 Given a predicted conflict class and the row's influence graph, the
 affected node is the one receiving two or more edges of the class's edge
-kind; the sources of those edges are the root-cause nodes, and the apps
-behind them are the root-cause xApps.
+kind (or, when it has none, of any kind); the sources of those edges are
+the root-cause nodes, and the apps behind them are the root-cause xApps.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .conflict_sim import Topology, app_name
-from .errors import DomainError
 from .gsc import ConflictGraph, EdgeKind
 
 #: Sentinel affected-node name when no node shows a conflict pattern.
@@ -67,52 +66,22 @@ def _locate(graph: ConflictGraph, predicted: int):
     return node, kind
 
 
-def find_affected(graph: ConflictGraph, predicted: int) -> str:
-    """Name of the node the predicted conflict lands on.
-
-    Looks for the maximum in-degree node (>= 2, ties to the smallest
-    index) within the predicted class's edge kind, then within any kind,
-    and reports ``unlocalized`` when the graph shows no such node.
-    """
-    if int(predicted) not in _KIND_FOR_LABEL:
-        raise DomainError(f"predicted label {predicted} is not a conflict class")
-    located = _locate(graph, predicted)
-    if located is None:
-        return UNLOCALIZED
-    return graph.node_name(located[0])
-
-
-def trace_roots(graph: ConflictGraph, affected: str, topology: Topology,
-                kind: EdgeKind | None = None):
-    """Root-cause nodes and xApps of the conflict at ``affected``.
-
-    Roots are the sources of its incoming edges within one edge kind
-    (inferred as the kind with the highest in-degree when not given).
-    For control edges the roots already are apps; otherwise each root
-    parameter maps to its currently active controlling apps.
-    """
-    node = graph.node_index(affected)
-    if kind is None:
-        degrees = [(int(_in_degrees(graph, k)[node]), k) for k in EdgeKind]
-        best, kind = max(degrees, key=lambda item: (item[0], -int(item[1])))
-    else:
-        best = int(_in_degrees(graph, kind)[node])
-    if best < 2:
-        raise DomainError(
-            f"node {affected} has in-degree {best} (< 2) for kind {kind.name}")
-
+def _roots(graph: ConflictGraph, node: int, kind: EdgeKind, topology: Topology):
+    """Root-cause node ids and xApp ids of the conflict at ``node``: the
+    sources of its incoming kind-``kind`` edges.  For control edges the
+    roots already are apps; otherwise each root parameter maps to its
+    currently active controlling apps."""
     mask = (graph.edge_kind == int(kind)) & (graph.edge_dst == node)
     sources = sorted(int(s) for s in graph.edge_src[mask])
-    root_nodes = tuple(graph.node_name(s) for s in sources)
     if kind == EdgeKind.PA:
-        return root_nodes, root_nodes
+        return sources, sources
     apps: set[int] = set()
     for s in sources:
         param = s - graph.n_apps
         for a in topology.controllers_by_param[param]:
             if graph.states[a]:
                 apps.add(a)
-    return root_nodes, tuple(app_name(a) for a in sorted(apps))
+    return sources, sorted(apps)
 
 
 def build_report(predictions, topology: Topology) -> RcaReport:
@@ -130,10 +99,11 @@ def build_report(predictions, topology: Topology) -> RcaReport:
                                UNLOCALIZED, (), ()))
             continue
         node, kind = located
-        affected = graph.node_name(node)
-        root_nodes, root_apps = trace_roots(graph, affected, topology, kind)
+        sources, apps = _roots(graph, node, kind, topology)
         rows.append(RcaRow(predicted, CONFLICT_TYPE_NAMES[predicted],
-                           affected, root_nodes, root_apps))
+                           graph.node_name(node),
+                           tuple(graph.node_name(s) for s in sources),
+                           tuple(app_name(a) for a in apps)))
     return RcaReport(topology=topology, rows=rows)
 
 

@@ -7,8 +7,9 @@ around the row's block of one edge mask shared by every row of a
 topology, and pools the inactive nodes as one constant per node role.
 This module computes the same quantities the plain way, over every node
 of the block-diagonal disjoint union of the graphs, so tests can compare
-the two: one dense (N, N) adjacency, two graph convolutions, a
-membership-indexed mean pool and a softmax head.
+the two: node features counted from each graph's edges, one dense
+(N, N) adjacency, two graph convolutions, a membership-indexed mean pool
+and a softmax head.
 It also holds the central-difference gradient check the gradient tests
 use.  Nothing here is fast; it is meant to be obviously right.
 """
@@ -20,6 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphica.errors import DomainError, EmptyInputError, NumericError, ShapeError
+
+
+def node_features(graph) -> np.ndarray:
+    """Per-node rows [is_app, is_param, is_kpi, state,
+    degree / max(1, N - 1)], where a node's degree counts every edge at
+    each of its ends."""
+    n = graph.n_nodes
+    feats = np.zeros((n, 5))
+    feats[np.arange(n), graph.kinds] = 1.0
+    feats[:, 3] = graph.states
+    degree = (np.bincount(graph.edge_src, minlength=n)
+              + np.bincount(graph.edge_dst, minlength=n))
+    feats[:, 4] = degree / max(1, n - 1)
+    return feats
 
 
 @dataclass(eq=False)
@@ -52,7 +67,7 @@ def batch_graphs(graphs) -> GraphBatch:
     else:
         labels = None
     return GraphBatch(
-        features=np.concatenate([g.features for g in graphs], axis=0),
+        features=np.concatenate([node_features(g) for g in graphs], axis=0),
         membership=np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
         edge_src=np.concatenate([g.edge_src + off for g, off in zip(graphs, offsets)]),
         edge_dst=np.concatenate([g.edge_dst + off for g, off in zip(graphs, offsets)]),

@@ -213,13 +213,12 @@ def test_criterion_08_rca_ground_truth(topology):
     pairs = cs.synth_rows(
         topology, {1: per_class, 2: per_class, 3: per_class}, 31)
     assert len(pairs) >= 500
-    hits = 0
-    for row, injection in pairs:
-        graph = build_graph(topology, row)
-        affected = rca.find_affected(graph, int(row.label))
-        nodes, _ = rca.trace_roots(graph, affected, topology)
-        if affected == injection.affected and set(nodes) == set(injection.sources):
-            hits += 1
+    traced_rows = rca.build_report(
+        [(row.label, build_graph(topology, row)) for row, _ in pairs], topology).rows
+    assert len(traced_rows) == len(pairs)
+    hits = sum(traced.affected_node == injection.affected
+               and set(traced.root_cause_nodes) == set(injection.sources)
+               for (_, injection), traced in zip(pairs, traced_rows))
     assert hits == len(pairs), f"{hits}/{len(pairs)} recovered"
     report(f"PASS criterion 8: RCA recovered {hits}/{len(pairs)} injected "
            f"conflicts exactly")

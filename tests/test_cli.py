@@ -4,6 +4,8 @@ from graphica import cli
 from graphica import conflict_sim as cs
 from graphica import gap
 
+from test_conflict_sim import json_with, truncated
+
 
 def run_cli(args):
     return cli.main(args)
@@ -181,6 +183,29 @@ class TestReport:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[ShapeError]: {bad}:4: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name, edit, error", [
+        ("topology.json", truncated, "DomainError"),
+        ("topology.json", lambda text: "[]", "DomainError"),
+        ("topology.json", json_with("controls", [[1]]), "DomainError"),
+        ("fold0.ckpt", truncated, "CompatibilityError"),
+        ("fold0.ckpt", json_with("H", "x"), "CompatibilityError"),
+    ], ids=["truncated topology", "topology not an object", "short control pair",
+            "truncated checkpoint", "non-integer hidden width"])
+    def test_malformed_input_file_is_typed_error(self, pipeline_dir, tmp_path, capsys,
+                                                 name, edit, error):
+        for copied in ("topology.json", "fold0.ckpt"):
+            (tmp_path / copied).write_text((pipeline_dir / copied).read_text())
+        bad = tmp_path / name
+        bad.write_text(edit(bad.read_text()))
+        code = run_cli(["report", "-d", str(pipeline_dir / "dataset.csv"),
+                        "-t", str(tmp_path / "topology.json"),
+                        "-m", str(tmp_path / "fold0.ckpt"),
+                        "-o", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{error}]: {bad}: ")
         assert len(err.strip().splitlines()) == 1
 
     def test_all_normal_report_is_header_only(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,20 @@ DEMO_TOPOLOGY = cs.Topology(
                 (1, 4), (2, 5), (3, 7), (4, 10), (6, 11), (8, 12)),
     seed=0,
 )
+
+
+def truncated(text):
+    """The first half of a file's text."""
+    return text[:len(text) // 2]
+
+
+def json_with(key, value):
+    """An edit of a JSON object's text that sets ``key`` to ``value``."""
+    def edit(text):
+        obj = json.loads(text)
+        obj[key] = value
+        return json.dumps(obj)
+    return edit
 
 
 def row_with(topology, apps=(), params=(), kpis=(), label=None):
@@ -293,8 +309,39 @@ class TestSerialization:
         ds = cs.synth_dataset(other, 16, 0.5, 1)
         path = tmp_path / "dataset.csv"
         cs.save_dataset(ds, path)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=f"{path}:1: "):
             cs.load_dataset(path, topo)
+
+    @pytest.mark.parametrize("column, value, what", [(2, "2", "state bits"),
+                                                     (-1, "7", "label 7")])
+    def test_csv_value_out_of_range_names_the_line(self, topo, tmp_path,
+                                                  column, value, what):
+        path = tmp_path / "dataset.csv"
+        cs.save_dataset(cs.synth_dataset(topo, 16, 0.5, 3), path)
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = value
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=f"{path}:6: {what}"):
+            cs.load_dataset(path, topo)
+
+    @pytest.mark.parametrize("edit", [truncated, lambda text: "[]",
+                                      json_with("controls", [[1]]),
+                                      json_with("n_apps", "ten")],
+                             ids=["truncated", "not an object", "short pair",
+                                  "non-integer size"])
+    def test_malformed_topology_file_names_it(self, topo, tmp_path, edit):
+        path = tmp_path / "topology.json"
+        path.write_text(edit(cs.topology_to_json(topo)), encoding="utf-8")
+        with pytest.raises(DomainError, match=f"{path}: malformed topology file"):
+            cs.load_topology(path)
+
+    def test_invalid_topology_file_names_it(self, topo, tmp_path):
+        path = tmp_path / "topology.json"
+        path.write_text(json_with("n_kpis", 0)(cs.topology_to_json(topo)), encoding="utf-8")
+        with pytest.raises(SizeError, match=f"{path}: topology sizes"):
+            cs.load_topology(path)
 
 
 @given(seed=st.integers(0, 10_000), code=st.integers(0, 2 ** 13 - 1))

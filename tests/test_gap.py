@@ -155,7 +155,6 @@ class TestForward:
             edge_src=inverse[graph.edge_src],
             edge_dst=inverse[graph.edge_dst],
             edge_kind=graph.edge_kind.copy(),
-            features=graph.features[perm],
         )
         _, again = gap.predict(model, permuted)
         assert np.allclose(base, again, atol=1e-12)
@@ -436,7 +435,7 @@ class TestScratchBuffers:
         """n = 33 exceeds H = 16, so a (B, n, n) buffer would be larger
         than any (B, n, H) one."""
         ds, focal, model = reference
-        n, hidden = topo.width, model.hidden_dim
+        n, hidden = topo.width, gap.HIDDEN_DIM
         assert n > hidden
         tensors = gap.row_tensors(topo, ds.rows)
         gap.loss_and_grad(model, tensors, np.arange(128), focal)
@@ -723,6 +722,39 @@ class TestCheckpoints:
         obj["F"] = 9
         path.write_text(json.dumps(obj))
         with pytest.raises(CompatibilityError):
+            gap.load_checkpoint(path)
+
+    def test_other_hidden_width_rejected(self, tmp_path):
+        """A checkpoint for H = 8, with the weight count that width has."""
+        import json
+        path = tmp_path / "fold0.ckpt"
+        gap.save_checkpoint(gap.ModelParams.init(6), path, seed=0,
+                            focal=gap.FocalConfig(gamma=0.0, alpha=np.ones(4)))
+        obj = json.loads(path.read_text())
+        obj["H"] = 8
+        obj["weights"] = [0.1] * (5 * 8 + 8 + 8 * 8 + 8 + 8 * 4 + 4 + 3)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CompatibilityError, match="fold0.ckpt: .*H=8"):
+            gap.load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "fold0.ckpt"
+        gap.save_checkpoint(gap.ModelParams.init(6), path, seed=0,
+                            focal=gap.FocalConfig(gamma=0.0, alpha=np.ones(4)))
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(CompatibilityError, match="fold0.ckpt: "):
+            gap.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["F", "H", "C", "seed"])
+    def test_non_integer_header_field_rejected(self, tmp_path, key):
+        import json
+        path = tmp_path / "fold0.ckpt"
+        gap.save_checkpoint(gap.ModelParams.init(6), path, seed=0,
+                            focal=gap.FocalConfig(gamma=0.0, alpha=np.ones(4)))
+        obj = json.loads(path.read_text())
+        obj[key] = "x"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CompatibilityError, match="fold0.ckpt: "):
             gap.load_checkpoint(path)
 
     def test_truncated_weights_rejected(self, tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from graphica import conflict_sim as cs
-from graphica import gsc
+from graphica import gap, gsc
 from graphica.errors import EmptyInputError, ShapeError
 
-from reference import batch_graphs
+from reference import batch_graphs, node_features
 from test_conflict_sim import DEMO_TOPOLOGY, row_with
 
 
@@ -113,21 +113,51 @@ class TestBuildGraph:
 
 
 class TestNodeFeatures:
+    """The packed node features (``gap.row_tensors``)."""
+
     def test_active_app_with_one_edge(self):
         row = row_with(DEMO_TOPOLOGY, apps=[0, 2], params=[11])
-        g = gsc.build_graph(DEMO_TOPOLOGY, row)
-        assert np.allclose(g.features[0], [1, 0, 0, 1, 1 / 32])
+        feats = gap.row_tensors(DEMO_TOPOLOGY, [row]).features[0]
+        assert np.allclose(feats[0], [1, 0, 0, 1, 1 / 32])
 
     def test_isolated_inactive_kpi(self):
-        g = gsc.build_graph(DEMO_TOPOLOGY, row_with(DEMO_TOPOLOGY))
-        assert np.allclose(g.features[-1], [0, 0, 1, 0, 0])
+        feats = gap.row_tensors(DEMO_TOPOLOGY, [row_with(DEMO_TOPOLOGY)]).features[0]
+        assert np.allclose(feats[-1], [0, 0, 1, 0, 0])
 
     def test_role_one_hot_and_range(self, topo):
         ds = cs.synth_dataset(topo, 20, 0.5, 4)
-        for row in ds.rows:
-            feats = gsc.build_graph(topo, row).features
-            assert np.all(feats[:, :3].sum(axis=1) == 1.0)
-            assert feats.min() >= 0.0 and feats.max() <= 1.0
+        feats = gap.row_tensors(topo, ds.rows).features
+        assert np.all(feats[:, :, :3].sum(axis=2) == 1.0)
+        assert feats.min() >= 0.0 and feats.max() <= 1.0
+
+    @pytest.mark.parametrize("shape, seed, n_rows", [((10, 13, 10), 0, 200),
+                                                     ((30, 40, 30), 3, 300)])
+    def test_packed_features_equal_the_oracle(self, shape, seed, n_rows):
+        topology = cs.new_topology(*shape, seed)
+        assert topology.width in (33, 100)
+        rows = cs.synth_dataset(topology, n_rows, 0.5, seed).rows
+        packed = gap.row_tensors(topology, rows).features
+        oracle = np.stack([node_features(gsc.build_graph(topology, r)) for r in rows])
+        assert packed.tobytes() == oracle.tobytes()
+
+    def test_mutual_parameter_pair_counts_twice(self):
+        """Parameters 0 and 1 drive each other, so with both active each
+        is an end of two PP edges: its degree counts 2."""
+        topology = cs.Topology(3, 4, 3, ((0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 1)),
+                               ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3)),
+                               ((0, 1), (1, 0), (1, 2), (1, 3)), 0)
+        rng = np.random.default_rng(3)
+        rows = []
+        for _ in range(40):
+            bits = rng.integers(0, 2, topology.width)
+            bits[3] = bits[4] = 1
+            rows.append(cs.BinaryStateRow(tuple(bits[:3].tolist()), tuple(bits[3:7].tolist()),
+                                          tuple(bits[7:].tolist())))
+        packed = gap.row_tensors(topology, rows).features
+        oracle = np.stack([node_features(gsc.build_graph(topology, r)) for r in rows])
+        assert packed.tobytes() == oracle.tobytes()
+        lone = row_with(topology, params=[0, 1])
+        assert gap.row_tensors(topology, [lone]).features[0, 3, 4] == 2 / 9
 
 
 class TestBatchGraphs:
@@ -154,7 +184,7 @@ class TestBatchGraphs:
         ds = cs.synth_dataset(topo, 8, 0.5, 8)
         g = gsc.build_graph(topo, ds.rows[0])
         batch = batch_graphs([g])
-        assert np.array_equal(batch.features, g.features)
+        assert np.array_equal(batch.features, node_features(g))
         assert np.all(batch.membership == 0)
         assert batch.labels is not None and batch.labels[0] == ds.rows[0].label
 
@@ -170,11 +200,3 @@ class TestNames:
         assert g.node_name(10) == "p1"
         assert g.node_name(22) == "p13"
         assert g.node_name(23) == "k1"
-        assert g.node_index("p13") == 22
-        with pytest.raises(ShapeError):
-            g.node_index("x1")
-
-    def test_edgelist_export(self):
-        row = row_with(DEMO_TOPOLOGY, apps=[0, 2], params=[11])
-        g = gsc.build_graph(DEMO_TOPOLOGY, row)
-        assert gsc.graph_to_edgelist(g) == "a1 PA p12\na3 PA p12\n"

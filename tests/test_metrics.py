@@ -71,10 +71,6 @@ class TestPrf:
         with pytest.raises(DomainError):
             metrics.prf(np.zeros((4, 4), dtype=int))
 
-    def test_unknown_averaging(self):
-        with pytest.raises(DomainError):
-            metrics.prf(np.diag([1, 1]), averaging="macro")
-
     def test_non_square(self):
         with pytest.raises(ShapeError):
             metrics.prf(np.zeros((2, 3)))

@@ -36,7 +36,7 @@ class TestNormalizeAdjacency:
             n_apps=1, n_params=1, n_kpis=0,
             kinds=np.array([0, 1]), states=np.ones(2, dtype=np.int8),
             edge_src=np.array([0]), edge_dst=np.array([1]),
-            edge_kind=np.array([0]), features=np.zeros((2, 5)))
+            edge_kind=np.array([0]))
         batch = batch_graphs([graph])
         out = reference.normalize_adjacency(batch, np.ones(3))
         assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])

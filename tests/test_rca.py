@@ -1,9 +1,10 @@
-import pytest
+"""Root cause tracing, checked through the rows ``rca.build_report``
+returns: the affected node it finds, and the root-cause nodes and xApps
+it traces from there."""
 
 from graphica import conflict_sim as cs
 from graphica import rca
-from graphica.errors import DomainError
-from graphica.gsc import EdgeKind, build_graph
+from graphica.gsc import build_graph
 
 from test_conflict_sim import DEMO_TOPOLOGY, row_with
 
@@ -25,89 +26,89 @@ def indirect_graph():
     return build_graph(DEMO_TOPOLOGY, row)
 
 
+def p10_topology(controllers):
+    """The demo's shape with ``controllers`` all controlling p10, and
+    a1 and a3 controlling p12."""
+    return cs.Topology(
+        n_apps=10, n_params=13, n_kpis=10,
+        controls=tuple(sorted(
+            [(9, a) for a in controllers] + [(11, 0), (11, 2)]
+            + [(p, p % 10) for p in range(13) if p not in (9, 11)])),
+        kpi_deps=((0, 0), (0, 1)),
+        param_deps=((7, 0), (7, 2)) + tuple(
+            (p + 1 if p < 12 else 1, p) for p in range(13)
+            if p not in (0, 2)),
+        seed=0,
+    )
+
+
+def traced(graph, predicted, topology=DEMO_TOPOLOGY):
+    """The one report row of a graph predicted as ``predicted``."""
+    rows = rca.build_report([(predicted, graph)], topology).rows
+    assert len(rows) == 1
+    return rows[0]
+
+
 class TestFindAffected:
+    """The affected node of a report row."""
+
     def test_direct(self):
-        assert rca.find_affected(direct_graph(), 1) == "p12"
+        assert traced(direct_graph(), 1).affected_node == "p12"
 
     def test_implicit(self):
-        assert rca.find_affected(implicit_graph(), 2) == "k5"
+        assert traced(implicit_graph(), 2).affected_node == "k5"
 
     def test_unlocalized(self):
         graph = build_graph(DEMO_TOPOLOGY, row_with(DEMO_TOPOLOGY))
-        assert rca.find_affected(graph, 1) == rca.UNLOCALIZED
-
-    def test_normal_prediction_rejected(self):
-        with pytest.raises(DomainError):
-            rca.find_affected(direct_graph(), 0)
+        row = traced(graph, 1)
+        assert row.affected_node == rca.UNLOCALIZED
+        assert row.root_cause_nodes == () and row.root_cause_xapps == ()
 
     def test_falls_back_across_kinds(self):
         # prediction says direct but only an implicit pattern exists
-        assert rca.find_affected(implicit_graph(), 1) == "k5"
+        row = traced(implicit_graph(), 1)
+        assert row.affected_node == "k5"
+        assert row.conflict_type == "Direct"
+        assert row.root_cause_nodes == ("p2", "p4")
+        assert row.root_cause_xapps == ("a2", "a4")
 
     def test_max_in_degree_wins(self):
-        # p10 has three controllers in this handmade deployment
-        topo = cs.Topology(
-            n_apps=10, n_params=13, n_kpis=10,
-            controls=tuple(sorted(
-                [(9, 1), (9, 4), (9, 7), (11, 0), (11, 2)]
-                + [(p, p % 10) for p in range(13) if p not in (9, 11)])),
-            kpi_deps=((0, 0), (0, 1)),
-            param_deps=((7, 0), (7, 2)) + tuple(
-                (p + 1 if p < 12 else 1, p) for p in range(13)
-                if p not in (0, 2)),
-            seed=0,
-        )
+        # p10 has three active controllers, p12 two
+        topo = p10_topology([1, 4, 7])
         row = row_with(topo, apps=[0, 1, 2, 4, 7], params=[9, 11])
-        graph = build_graph(topo, row)
-        assert rca.find_affected(graph, 1) == "p10"
+        traced_row = traced(build_graph(topo, row), 1, topo)
+        assert traced_row.affected_node == "p10"
+        assert traced_row.root_cause_nodes == ("a2", "a5", "a8")
 
 
 class TestTraceRoots:
+    """The root-cause nodes and xApps of a report row."""
+
     def test_direct_roots_are_the_apps(self):
-        nodes, apps = rca.trace_roots(direct_graph(), "p12", DEMO_TOPOLOGY)
-        assert nodes == ("a1", "a3")
-        assert apps == ("a1", "a3")
+        row = traced(direct_graph(), 1)
+        assert row.root_cause_nodes == ("a1", "a3")
+        assert row.root_cause_xapps == ("a1", "a3")
 
     def test_indirect_maps_params_to_active_controllers(self):
-        nodes, apps = rca.trace_roots(indirect_graph(), "p8", DEMO_TOPOLOGY)
-        assert nodes == ("p1", "p3")
-        assert apps == ("a1", "a3")
+        row = traced(indirect_graph(), 3)
+        assert row.affected_node == "p8"
+        assert row.root_cause_nodes == ("p1", "p3")
+        assert row.root_cause_xapps == ("a1", "a3")
 
     def test_implicit_example(self):
         # k10 depends on p1 and p9; a1 and a9 control them
         row = row_with(DEMO_TOPOLOGY, apps=[0, 8], params=[0, 8], kpis=[9])
-        graph = build_graph(DEMO_TOPOLOGY, row)
-        nodes, apps = rca.trace_roots(graph, "k10", DEMO_TOPOLOGY)
-        assert nodes == ("p1", "p9")
-        assert apps == ("a1", "a9")
+        traced_row = traced(build_graph(DEMO_TOPOLOGY, row), 2)
+        assert traced_row.affected_node == "k10"
+        assert traced_row.root_cause_nodes == ("p1", "p9")
+        assert traced_row.root_cause_xapps == ("a1", "a9")
 
     def test_three_app_direct(self):
-        topo = cs.Topology(
-            n_apps=10, n_params=13, n_kpis=10,
-            controls=tuple(sorted(
-                [(9, 1), (9, 4), (9, 7)]
-                + [(p, p % 10) for p in range(13) if p != 9])),
-            kpi_deps=((0, 0), (0, 1)),
-            param_deps=((7, 0), (7, 2)) + tuple(
-                (p + 1 if p < 12 else 1, p) for p in range(13)
-                if p not in (0, 2)),
-            seed=0,
-        )
+        topo = p10_topology([1, 4, 7])
         row = row_with(topo, apps=[1, 4, 7], params=[9])
-        graph = build_graph(topo, row)
-        nodes, apps = rca.trace_roots(graph, "p10", topo)
-        assert apps == ("a2", "a5", "a8")
-
-    def test_low_in_degree_rejected(self):
-        graph = build_graph(
-            DEMO_TOPOLOGY, row_with(DEMO_TOPOLOGY, apps=[0], params=[11]))
-        with pytest.raises(DomainError):
-            rca.trace_roots(graph, "p12", DEMO_TOPOLOGY)
-
-    def test_explicit_kind(self):
-        nodes, apps = rca.trace_roots(direct_graph(), "p12", DEMO_TOPOLOGY,
-                                      kind=EdgeKind.PA)
-        assert nodes == ("a1", "a3")
+        traced_row = traced(build_graph(topo, row), 1, topo)
+        assert traced_row.affected_node == "p10"
+        assert traced_row.root_cause_xapps == ("a2", "a5", "a8")
 
 
 class TestBuildReport:
@@ -153,13 +154,13 @@ class TestGroundTruthRecovery:
     def test_recovers_injected_patterns(self):
         topo = cs.new_topology(10, 13, 10, 1)
         pairs = cs.synth_rows(topo, {1: 40, 2: 40, 3: 40}, 5)
-        for row, injection in pairs:
-            graph = build_graph(topo, row)
-            affected = rca.find_affected(graph, int(row.label))
-            assert affected == injection.affected
-            nodes, apps = rca.trace_roots(graph, affected, topo)
-            assert set(nodes) == set(injection.sources)
-            for a in apps:
+        report = rca.build_report(
+            [(row.label, build_graph(topo, row)) for row, _ in pairs], topo)
+        assert len(report.rows) == len(pairs)
+        for (row, injection), traced_row in zip(pairs, report.rows):
+            assert traced_row.affected_node == injection.affected
+            assert set(traced_row.root_cause_nodes) == set(injection.sources)
+            for a in traced_row.root_cause_xapps:
                 assert row.app_states[int(a[1:]) - 1] == 1
 
     def test_reported_apps_are_active(self):
